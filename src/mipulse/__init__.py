@@ -79,7 +79,6 @@ from .scan import (
 )
 from .toggling import (
     ToggleIntegrals,
-    bang_closed_form,
     effective_propagator,
     interaction_scale,
     robust_qubit_predict,

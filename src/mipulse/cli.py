@@ -80,35 +80,18 @@ def _config_dict(args, skip=("func",)) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _cmd_design_torf(args) -> int:
+def _cmd_design_bang(args, order: str) -> int:
     rabi = TWO_PI * args.rabi_hz
     ratio = args.omega_hz / args.rabi_hz
-    solution = solve_first_order(ratio, math.radians(args.theta), seed=args.seed)
+    theta = math.radians(args.theta)
+    if order == "first":
+        solution = solve_first_order(ratio, theta, seed=args.seed)
+        kind = "recoil-free"
+    else:
+        solution = solve_second_order(ratio, theta, args.eta, seed=args.seed)
+        kind = "second-order recoil-free"
     pulse = shift_axis(make_torf(solution.angles, rabi), math.radians(args.axis))
-    pulse = pulse.relabel(
-        f"recoil-free bang-bang theta={args.theta}deg ratio={ratio:.6g}"
-    )
-    _write_design(args.out, pulse, _config_dict(args), {
-        "angles_rad": list(solution.angles.angles),
-        "pulse_area_rad": solution.area,
-        "residual": solution.residual,
-        "duration_s": pulse.duration,
-    })
-    print(f"wrote {args.out}: area {solution.area / math.pi:.4f} pi, "
-          f"residual {solution.residual:.2e}")
-    return 0
-
-
-def _cmd_design_torf2(args) -> int:
-    rabi = TWO_PI * args.rabi_hz
-    ratio = args.omega_hz / args.rabi_hz
-    solution = solve_second_order(
-        ratio, math.radians(args.theta), args.eta, seed=args.seed
-    )
-    pulse = shift_axis(make_torf(solution.angles, rabi), math.radians(args.axis))
-    pulse = pulse.relabel(
-        f"second-order recoil-free bang-bang theta={args.theta}deg ratio={ratio:.6g}"
-    )
+    pulse = pulse.relabel(f"{kind} bang-bang theta={args.theta}deg ratio={ratio:.6g}")
     _write_design(args.out, pulse, _config_dict(args), {
         "angles_rad": list(solution.angles.angles),
         "pulse_area_rad": solution.area,
@@ -179,6 +162,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _write_sweep(result, args) -> int:
+    write_csv(result, args.out)
+    write_metadata(result, str(args.out) + ".meta.json",
+                   extra={"config": _config_dict(args)})
+    print(f"wrote {args.out} ({len(result.rows)} rows)")
+    return 0
+
+
 def _cmd_scan_ratio(args) -> int:
     rabi = TWO_PI * args.rabi_hz
     if args.pulse:
@@ -196,11 +187,7 @@ def _cmd_scan_ratio(args) -> int:
         source, ratios, args.model, _resolve_p0(args), _target(args),
         eta=args.eta, truncation=args.m_levels, jobs=args.jobs,
     )
-    write_csv(result, args.out)
-    write_metadata(result, str(args.out) + ".meta.json",
-                   extra={"config": _config_dict(args)})
-    print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
+    return _write_sweep(result, args)
 
 
 def _cmd_scan_map(args) -> int:
@@ -214,11 +201,7 @@ def _cmd_scan_map(args) -> int:
         pulse, grid, grid, _resolve_p0(args), _target(args), params,
         rabi_ref=TWO_PI * args.rabi_hz, jobs=args.jobs,
     )
-    write_csv(result, args.out)
-    write_metadata(result, str(args.out) + ".meta.json",
-                   extra={"config": _config_dict(args)})
-    print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
+    return _write_sweep(result, args)
 
 
 def _cmd_scan_p0(args) -> int:
@@ -230,11 +213,7 @@ def _cmd_scan_p0(args) -> int:
     )
     p0_grid = np.arange(args.p0_min, args.p0_max + 0.5 * args.p0_step, args.p0_step)
     result = error_vs_p0(pulses, p0_grid, _target(args), params, model=args.model)
-    write_csv(result, args.out)
-    write_metadata(result, str(args.out) + ".meta.json",
-                   extra={"config": _config_dict(args)})
-    print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
+    return _write_sweep(result, args)
 
 
 def _cmd_limit(args) -> int:
@@ -299,13 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output pulse file")
 
-    p = sub.add_parser("design-torf", help="first-order recoil-free bang-bang pulse")
-    design_common(p)
-    p.set_defaults(func=_cmd_design_torf)
-
-    p = sub.add_parser("design-torf2", help="second-order recoil-free bang-bang pulse")
-    design_common(p)
-    p.set_defaults(func=_cmd_design_torf2)
+    for name, order in (("design-torf", "first"), ("design-torf2", "second")):
+        p = sub.add_parser(name, help=f"{order}-order recoil-free bang-bang pulse")
+        design_common(p)
+        p.set_defaults(func=lambda a, _order=order: _cmd_design_bang(a, _order))
 
     for name, preset, blurb in (
         ("design-tod", "disentangle", "disentangling smooth-phase pulse"),

@@ -93,16 +93,23 @@ def p0_from_temperature(temperature: float, omega: float) -> float:
     return 1.0 - math.exp(-HBAR * omega / (K_BOLTZMANN * temperature))
 
 
-def _probe_states(m: int, dim_m: int) -> np.ndarray:
-    """The four probe states at motional level m, as columns (2*dim_m, 4)."""
-    g = np.zeros(2 * dim_m, dtype=complex)
-    e = np.zeros(2 * dim_m, dtype=complex)
-    g[m] = 1.0
-    e[dim_m + m] = 1.0
-    inv_sqrt2 = 1 / math.sqrt(2)
-    return np.stack(
-        [g, e, (g + e) * inv_sqrt2, (g + 1j * e) * inv_sqrt2], axis=1
+#: The four probe states on span{|g,m>, |e,m>}, as coefficient columns.
+_PROBES = np.array([[1, 0, 1, 1], [0, 1, 1, 1j]]) / np.sqrt([1, 1, 2, 2])
+
+
+def _level_fidelities(operator: np.ndarray, dim_m: int, target: GateTarget, levels) -> np.ndarray:
+    """Probe fidelity at each motional level in ``levels``.
+
+    A probe at level m and its target image lie in span{|g,m>, |e,m>}, so
+    only the 2x2 block of the operator on that pair enters.
+    """
+    m = np.asarray(levels)
+    pair = np.stack([m, dim_m + m])
+    blocks = operator[pair[:, None, :], pair[None, :, :]]
+    overlaps = np.einsum(
+        "ak,ba,bcl,ck->lk", _PROBES.conj(), target.unitary.conj(), blocks, _PROBES
     )
+    return np.mean(np.abs(overlaps) ** 2, axis=1)
 
 
 def _as_operator(u) -> tuple[np.ndarray, int]:
@@ -127,11 +134,7 @@ def per_m_fidelity(u, target: GateTarget, m: int, margin: int = GUARD_MARGIN) ->
             f"motional level {m} violates the guard margin "
             f"(need 0 <= m <= {truncation - margin} at truncation {truncation})"
         )
-    probes = _probe_states(m, dim_m)
-    evolved = operator @ probes
-    targets = np.kron(target.unitary, np.eye(dim_m)) @ probes
-    overlaps = np.einsum("ik,ik->k", targets.conj(), evolved)
-    return float(np.mean(np.abs(overlaps) ** 2))
+    return float(_level_fidelities(operator, dim_m, target, [m])[0])
 
 
 @dataclass(frozen=True)
@@ -168,9 +171,7 @@ def thermal_fidelity(u, target: GateTarget, p0: float, margin: int = GUARD_MARGI
             f"excluded thermal weight {tail:.3e} above levels {m_max} is not "
             f"negligible; increase the truncation"
         )
-    per_m = tuple(
-        per_m_fidelity(operator, target, m, margin=margin) for m in range(m_max + 1)
-    )
+    per_m = tuple(_level_fidelities(operator, dim_m, target, range(m_max + 1)).tolist())
     total = float(np.dot(weights[: m_max + 1], per_m))
     return FidelityReport(per_m=per_m, thermal=total, p0=p0, truncation=truncation)
 

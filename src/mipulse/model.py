@@ -74,6 +74,10 @@ class SystemParams:
     delta_rabi: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "rabi", "delta_detuning", "delta_rabi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.rabi <= 0:

@@ -2,9 +2,10 @@
 
 The phase is piecewise constant by construction, so the evolution operator
 is the ordered product of per-segment matrix exponentials; no ODE stepping
-and no time-discretization error anywhere.  Eigendecompositions are cached
-per distinct segment phase, which collapses bang-bang pulses to two
-factorizations.
+and no time-discretization error anywhere.  In the qubit-slow basis every
+model obeys ``H(phase) = R H(0) R^dag`` with the diagonal frame
+``R = diag(1_g, e^{i phase} 1_e)``, so one eigendecomposition of ``H(0)``
+serves every segment of every phase.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MODELS, SystemParams, hamiltonian
+from .model import SystemParams, hamiltonian
 from .operators import IDENT_2, SIGMA_X, SIGMA_Y, unitarity_defect
 from .pulse import PulseProgram
+from .toggling import evaluate_controls
 
 __all__ = ["Propagation", "evolve", "evolve_qubit", "su2_rotation"]
 
@@ -43,21 +45,19 @@ def evolve(params: SystemParams, pulse: PulseProgram, model: str = "full") -> Pr
 
     The product is time ordered with the earliest segment rightmost.  The
     result is checked against the unitarity budget (1e-10 Frobenius) and a
-    violation raises ``ArithmeticError``.
+    violation, or a non-finite operator, raises ``ArithmeticError``.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    dim = params.dim
-    total = np.eye(dim, dtype=complex)
-    eig_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    vals, vecs = np.linalg.eigh(hamiltonian(params, 0.0, model))
+    frame = np.ones(params.dim, dtype=complex)
+    total = np.eye(params.dim, dtype=complex)
     for duration, phase in pulse.segments:
-        if phase not in eig_cache:
-            eig_cache[phase] = np.linalg.eigh(hamiltonian(params, phase, model))
-        vals, vecs = eig_cache[phase]
-        step = (vecs * np.exp(-1j * vals * duration)) @ vecs.conj().T
+        # H(phase) = R H(0) R^dag has the eigenvectors R @ vecs
+        frame[params.truncation + 1 :] = np.exp(1j * phase)
+        rotated = frame[:, None] * vecs
+        step = (rotated * np.exp(-1j * vals * duration)) @ rotated.conj().T
         total = step @ total
     defect = unitarity_defect(total)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise ArithmeticError(
             f"propagator unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
         )
@@ -76,14 +76,12 @@ def evolve_qubit(
     eta_correction: bool = False,
     eta: float = 0.0,
 ) -> np.ndarray:
-    """Ideal-qubit propagator of a pulse via exact per-segment rotations.
+    """Ideal-qubit propagator of a pulse: the segment product of
+    :func:`~mipulse.toggling.evaluate_controls`.
 
-    Each segment contributes ``su2_rotation(kappa * rabi * duration, phase)``
-    with ``kappa = 1 - eta^2/2`` when ``eta_correction`` is set (the
-    second-order slowdown of the drive) and 1 otherwise.
+    Segments rotate at ``kappa * rabi`` with ``kappa = 1 - eta^2/2`` when
+    ``eta_correction`` is set (the second-order slowdown of the drive) and 1
+    otherwise.
     """
     kappa = 1 - 0.5 * eta**2 if eta_correction else 1.0
-    total = np.eye(2, dtype=complex)
-    for duration, phase in pulse.segments:
-        total = su2_rotation(kappa * pulse.rabi * duration, phase) @ total
-    return total
+    return evaluate_controls(pulse.phases, pulse.durations, pulse.rabi, 0.0, kappa, ())[0]

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from . import __version__ as _version
-from .fidelity import GateTarget, thermal_fidelity, thermal_limit_exact
+from .fidelity import GateTarget, gate_error, thermal_fidelity, thermal_limit_exact
 from .model import SystemParams
 from .propagate import evolve
 from .pulse import PulseProgram, serialize
@@ -48,20 +48,13 @@ def _pulse_hash(pulse: PulseProgram) -> str:
     return hashlib.sha256(serialize(pulse).encode()).hexdigest()
 
 
-def _error_row(params: SystemParams, pulse: PulseProgram, model: str,
-               target_theta: float, target_axis: float, p0: float):
-    target = GateTarget(target_theta, target_axis)
-    report = thermal_fidelity(evolve(params, pulse, model), target, p0)
-    return report.error
-
-
 def _ratio_point(args):
     ratio, pulse, model, theta, axis, p0, eta, truncation = args
     try:
         params = SystemParams(
             omega=ratio * pulse.rabi, rabi=pulse.rabi, eta=eta, truncation=truncation
         )
-        return (ratio, _error_row(params, pulse, model, theta, axis, p0), "ok")
+        return (ratio, gate_error(params, pulse, GateTarget(theta, axis), p0, model), "ok")
     except Exception as exc:  # noqa: BLE001 - failed points are flagged, not fatal
         return (ratio, float("nan"), f"error:{exc}")
 
@@ -75,7 +68,7 @@ def _map_point(args):
             delta_detuning=ddelta_frac * rabi_ref,
             delta_rabi=domega_frac * rabi_ref,
         )
-        err = _error_row(params, pulse, "full", theta, axis, p0)
+        err = gate_error(params, pulse, GateTarget(theta, axis), p0, "full")
         return (ddelta_frac, domega_frac, err, "ok")
     except Exception as exc:  # noqa: BLE001
         return (ddelta_frac, domega_frac, float("nan"), f"error:{exc}")

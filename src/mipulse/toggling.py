@@ -31,14 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
-from .propagate import su2_rotation
-from .pulse import BangAngles, PulseProgram
+from .operators import SIGMA_Z, expm_hermitian, tensor
+from .pulse import PulseProgram
 
 __all__ = [
     "ToggleIntegrals",
     "toggle_integrals",
-    "bang_closed_form",
     "effective_propagator",
     "robust_qubit_predict",
     "interaction_scale",
@@ -293,65 +291,6 @@ def toggle_integrals(
         ratio=params.ratio,
         eta_corrected=eta_correction,
         pulse=pulse,
-    )
-
-
-# ---------------------------------------------------------------------------
-# independent closed form for x-axis bang-bang pulses
-
-def bang_closed_form(
-    angles: BangAngles, ratio: float, theta_tar: float | None = None
-) -> ToggleIntegrals:
-    """First-harmonic recoil integral of a bang-bang pulse, antiderivative route.
-
-    For phases restricted to {0, pi} the conjugated quadrature reduces to
-    ``(Uq^dag)^2 h_quad`` and each segment integrates to a resolvent
-    expression in the frequency ratio.  This is an algebraically
-    independent route from :func:`toggle_integrals`, kept as a
-    cross-check; it requires ``ratio > 1.5`` (the averaging validity gate,
-    which also keeps the ``1 - ratio^2`` resolvent away from resonance).
-
-    Works in pulse-area units (rabi = 1), valid since the integrals are
-    dimensionless.
-    """
-    if ratio <= MIN_RATIO:
-        raise ValueError(
-            f"ratio must exceed {MIN_RATIO} (averaging validity), got {ratio}"
-        )
-    if angles.order != "first":
-        raise ValueError("closed form covers first-order (three-angle) pulses")
-    half = angles.angles
-    thetas = np.array(half + half[-2::-1], dtype=float)
-    signs = np.array([(-1) ** k for k in range(len(thetas))], dtype=float)
-    times = np.concatenate(([0.0], np.cumsum(thetas)))  # in units of 1/rabi
-    cum_rot = np.concatenate(([0.0], np.cumsum(signs * thetas)))
-
-    recoil1 = np.zeros((2, 2), dtype=complex)
-    recoil2 = np.zeros((2, 2), dtype=complex)
-    for n, (theta, sign) in enumerate(zip(thetas, signs)):
-        if theta == 0.0:
-            continue
-        quad_n = sign * 0.5 * SIGMA_Y
-        resolvent = (ratio * np.eye(2) - sign * SIGMA_X) / (ratio**2 - 1)
-        u_pre_sq = su2_rotation(2 * cum_rot[n], 0.0).conj().T
-        hop = np.exp(1j * ratio * theta) * su2_rotation(2 * sign * theta, 0.0).conj().T
-        bracket = np.exp(1j * ratio * times[n]) * (hop - np.eye(2))
-        recoil1 += u_pre_sq @ (-1j * bracket) @ resolvent @ quad_n
-        recoil2 += (
-            sign
-            * 0.25
-            * SIGMA_X
-            / (1j * ratio)
-            * (np.exp(2j * ratio * times[n + 1]) - np.exp(2j * ratio * times[n]))
-        )
-    entangle = 0.5 * cum_rot[-1] * SIGMA_X
-    return ToggleIntegrals(
-        u_qubit=su2_rotation(cum_rot[-1], 0.0),
-        recoil1=recoil1,
-        recoil2=recoil2,
-        entangle=entangle,
-        rabi_dev=entangle,
-        ratio=ratio,
     )
 
 

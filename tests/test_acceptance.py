@@ -32,7 +32,8 @@ from mipulse.optimize import (
 )
 from mipulse.propagate import evolve
 from mipulse.pulse import BangAngles, PulseProgram, make_constant, make_torf
-from mipulse.toggling import bang_closed_form, effective_propagator, toggle_integrals
+from mipulse.toggling import effective_propagator, toggle_integrals
+from oracles import bang_closed_form
 
 RABI = 2 * math.pi * 20e3
 OMEGA_TRAP = 2 * math.pi * 100e3

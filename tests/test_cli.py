@@ -178,3 +178,32 @@ def test_design_robust_infeasible_duration_exits_nonzero(tmp_path, capsys):
     assert code == 1
     sidecar = json.loads((tmp_path / "robust.json.meta.json").read_text())
     assert sidecar["result"]["converged"] is False
+
+
+def test_non_finite_physics_input_exits_nonzero(tmp_path, capsys):
+    pulse_path = tmp_path / "torf.json"
+    main(["design-torf", "--theta", "180", "--out", str(pulse_path)])
+    out = tmp_path / "map.csv"
+    code = main([
+        "scan-map", "--pulse", str(pulse_path), "--theta", "180", "--p0", "0.95",
+        "--omega-hz", "nan", "--n-grid", "2", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert "omega must be finite" in capsys.readouterr().err
+    code = main([
+        "simulate", "--pulse", str(pulse_path), "--theta", "180", "--p0", "1.0",
+        "--ddelta-hz", "inf",
+    ])
+    assert code == 1
+    assert "delta_detuning must be finite" in capsys.readouterr().err
+
+
+def test_design_tod_accepts_infinite_trap_frequency(tmp_path):
+    out = tmp_path / "tod.json"
+    code = main([
+        "design-tod", "--theta", "90", "--omega-hz", "inf", "--duration-us", "47.1",
+        "--restarts", "1", "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads((tmp_path / "tod.json.meta.json").read_text())["result"]["converged"]

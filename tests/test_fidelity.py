@@ -17,6 +17,7 @@ from mipulse.fidelity import (
 from mipulse.model import SystemParams
 from mipulse.propagate import evolve
 from mipulse.pulse import make_constant
+from oracles import probe_fidelity
 
 RABI = 2 * math.pi * 20e3
 ETA = 0.2156
@@ -159,3 +160,22 @@ def test_check_truncation_converged_case():
     drift = check_truncation(p, make_constant(math.pi, RABI), GateTarget(math.pi),
                              model="second_order")
     assert drift < 1e-9
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_block_kernel_matches_probe_state_route(rng):
+    dim_m = 13
+    for target in (GateTarget(math.pi), GateTarget(math.pi / 2, 0.7), GateTarget(1.3, -2.1)):
+        for _ in range(3):
+            u = random_unitary(rng, 2 * dim_m)
+            oracle = [probe_fidelity(u, target.unitary, m) for m in range(dim_m)]
+            per_m = [per_m_fidelity(u, target, m, margin=0) for m in range(dim_m)]
+            report = thermal_fidelity(u, target, 0.9)
+            assert np.abs(np.subtract(per_m, oracle)).max() < 1e-14
+            thermal_oracle = oracle[: len(report.per_m)]
+            assert np.abs(np.subtract(report.per_m, thermal_oracle)).max() < 1e-14

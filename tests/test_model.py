@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mipulse.model import (
+    MODELS,
     SystemParams,
     full_hamiltonian,
     hamiltonian,
@@ -160,3 +161,23 @@ def test_builders_hermitian_and_converge_at_zero_eta():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         hamiltonian(params_with(), 0.0, "nope")
+
+
+@pytest.mark.parametrize("field", ["omega", "rabi", "delta_detuning", "delta_rabi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        params_with(**{field: value})
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_phase_is_a_diagonal_frame(model, rng):
+    # H(phase) = R H(0) R^dag with R = diag(1_g, e^{i phase} 1_e)
+    p = params_with(truncation=12, delta_detuning=0.07 * RABI, delta_rabi=-0.05 * RABI)
+    h0 = hamiltonian(p, 0.0, model)
+    dim = p.truncation + 1
+    for phase in rng.uniform(-math.pi, math.pi, 5):
+        frame = np.concatenate([np.ones(dim), np.full(dim, np.exp(1j * phase))])
+        rotated = frame[:, None] * h0 * frame.conj()[None, :]
+        h = hamiltonian(p, phase, model)
+        assert np.linalg.norm(h - rotated) <= 1e-13 * np.linalg.norm(h)

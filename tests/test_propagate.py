@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mipulse.fidelity import GateTarget, thermal_fidelity
-from mipulse.model import SystemParams
-from mipulse.operators import SIGMA_X, unitarity_defect
+from mipulse.model import SystemParams, hamiltonian
+from mipulse.operators import SIGMA_X, expm_hermitian, unitarity_defect
 from mipulse.propagate import evolve, evolve_qubit, su2_rotation
 from mipulse.pulse import BangAngles, PulseProgram, make_constant, make_sampled, make_torf
 
@@ -102,3 +102,21 @@ def test_evolve_qubit_corrected_flip():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         evolve(params_with(), make_constant(1.0, RABI), "bogus")
+
+
+@pytest.mark.parametrize("model", ["full", "lamb_dicke", "second_order"])
+def test_evolve_matches_per_segment_exponentials(model, rng):
+    # one eigensystem in the phase frame against a fresh exponential per segment
+    p = params_with(truncation=10, delta_detuning=0.04 * RABI, delta_rabi=0.03 * RABI)
+    segments = tuple(zip(rng.uniform(0.5e-6, 4e-6, 24), rng.uniform(-math.pi, math.pi, 24)))
+    expected = np.eye(p.dim, dtype=complex)
+    for duration, phase in segments:
+        expected = expm_hermitian(hamiltonian(p, phase, model), duration) @ expected
+    u = evolve(p, PulseProgram(rabi=RABI, segments=segments), model).operator
+    assert np.abs(u - expected).max() < 1e-11
+
+
+def test_non_finite_unitarity_defect_rejected(monkeypatch):
+    monkeypatch.setattr("mipulse.propagate.unitarity_defect", lambda u: math.nan)
+    with pytest.raises(ArithmeticError):
+        evolve(params_with(truncation=3), make_constant(1.0, RABI), "full")

@@ -10,13 +10,13 @@ from mipulse.propagate import evolve, evolve_qubit, su2_rotation
 from mipulse.pulse import BangAngles, PulseProgram, make_constant
 from mipulse.toggling import (
     ToggleIntegrals,
-    bang_closed_form,
     effective_propagator,
     evaluate_controls,
     interaction_scale,
     robust_qubit_predict,
     toggle_integrals,
 )
+from oracles import bang_closed_form
 
 RABI = 2 * math.pi * 20e3
 ETA = 0.2156
