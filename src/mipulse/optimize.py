@@ -63,6 +63,9 @@ SEGMENTS_PER_PI = 40
 #: Outer search gives up beyond this multiple of the target angle.
 AREA_CEILING_FACTOR = 20.0
 
+#: Most Jacobian columns evaluated together; larger stacks only hold more memory.
+_COLUMN_STACK = 16
+
 
 class OptimizeFailure(RuntimeError):
     """Raised when the minimum-time search exhausts its area ceiling."""
@@ -132,7 +135,7 @@ class OptimizationResult:
 
 
 def _evaluate(phases: np.ndarray, problem: ControlProblem, area: float, grad: bool):
-    n = len(phases)
+    n = phases.shape[-1]
     durations = np.full(n, area / n)
     omega = problem.ratio if math.isfinite(problem.ratio) else 0.0
     return evaluate_controls(
@@ -184,17 +187,31 @@ def _metrics(phases: np.ndarray, problem: ControlProblem, area: float):
 
 
 def _residual_vector(phases: np.ndarray, problem: ControlProblem, area: float):
-    """Phase-aligned residuals for the least-squares polish."""
+    """Phase-aligned residuals for the least-squares polish (leading axes of
+    ``phases`` stack profiles, as in :func:`evaluate_controls`)."""
+    u_tar = problem.target.unitary
     u_qubit, values = _evaluate(phases, problem, area, grad=False)
-    overlap = np.trace(problem.target.unitary.conj().T @ u_qubit) / 2
-    alignment = overlap / abs(overlap) if abs(overlap) > 1e-9 else 1.0
-    parts = [(u_qubit - alignment * problem.target.unitary).ravel()]
-    parts += [
-        math.sqrt(problem.weight(name)) * values[name].ravel()
-        for name in problem.constraints
-    ]
-    stacked = np.concatenate(parts)
-    return np.concatenate([stacked.real, stacked.imag])
+    overlap = np.trace(u_tar.conj().T @ u_qubit, axis1=-2, axis2=-1) / 2
+    size = np.abs(overlap)
+    alignment = np.where(size > 1e-9, overlap / np.maximum(size, 1e-9), 1.0)
+    parts = [u_qubit - alignment[..., None, None] * u_tar]
+    parts += [math.sqrt(problem.weight(name)) * values[name] for name in problem.constraints]
+    flat = phases.shape[:-1] + (-1,)
+    stacked = np.concatenate([part.reshape(flat) for part in parts], axis=-1)
+    return np.concatenate([stacked.real, stacked.imag], axis=-1)
+
+
+def _residual_columns(problem: ControlProblem, area: float):
+    """Map-like ``workers`` for the polish's finite-difference Jacobian: the
+    perturbed profiles go through :func:`_residual_vector` in stacks, so the
+    segment product runs once per stack, not once per column.  The function
+    scipy passes is that same residual, so it is not called."""
+    def columns(_fun, profiles):
+        profiles = np.array(list(profiles))
+        stacks = np.array_split(profiles, -(-len(profiles) // _COLUMN_STACK))
+        return [row for stack in stacks for row in _residual_vector(stack, problem, area)]
+
+    return columns
 
 
 def _is_converged(defect: float, norms: dict) -> bool:
@@ -236,6 +253,7 @@ def _attempt(
                 ftol=1e-15,
                 gtol=1e-15,
                 max_nfev=60 * (len(x) + 1),
+                workers=_residual_columns(weighted, area),
             )
             if np.linalg.norm(polish.fun) < np.linalg.norm(
                 _residual_vector(x, weighted, area)

@@ -66,6 +66,9 @@ VALIDITY_BOUND = math.pi / 3
 #: treatment is invalid anyway (strong motional excitation).
 MIN_RATIO = 1.5
 
+#: einsum of the per-segment conjugation A_n^dag B_n C_n.
+_SANDWICH = "...nmi,...nmk,...nkl->...nil"
+
 
 # ---------------------------------------------------------------------------
 # elementary segment primitives
@@ -90,11 +93,10 @@ def _e1(mu: float, tau: np.ndarray) -> np.ndarray:
 
 
 def _pauli_plane(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Stack of ``c*sx + s*sy`` for component arrays c, s of shape (N,)."""
-    n = len(c)
-    out = np.zeros((n, 2, 2), dtype=complex)
-    out[:, 0, 1] = c - 1j * s
-    out[:, 1, 0] = c + 1j * s
+    """Stack of ``c*sx + s*sy`` for component arrays c, s of shape (..., N)."""
+    out = np.zeros(c.shape + (2, 2), dtype=complex)
+    out[..., 0, 1] = c - 1j * s
+    out[..., 1, 0] = c + 1j * s
     return out
 
 
@@ -103,26 +105,26 @@ def _segment_propagators(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment rotations P, their phase derivatives D, and cumulative W.
 
-    ``W[i]`` is the product of the first i rotations (W[0] = identity), so
-    ``W[-1]`` is the full ideal-qubit propagator.
+    ``W[..., i, :, :]`` is the product of the first i rotations (identity at
+    i = 0), so ``W[..., -1, :, :]`` is the full ideal-qubit propagator.
     """
-    n = len(phases)
+    n = phases.shape[-1]
     half = 0.5 * rate * durations
     ca, sa = np.cos(half), np.sin(half)
     cphi, sphi = np.cos(phases), np.sin(phases)
-    p = np.zeros((n, 2, 2), dtype=complex)
-    p[:, 0, 0] = ca
-    p[:, 1, 1] = ca
-    p[:, 0, 1] = -1j * sa * (cphi - 1j * sphi)
-    p[:, 1, 0] = -1j * sa * (cphi + 1j * sphi)
+    p = np.zeros(phases.shape + (2, 2), dtype=complex)
+    p[..., 0, 0] = ca
+    p[..., 1, 1] = ca
+    p[..., 0, 1] = -1j * sa * (cphi - 1j * sphi)
+    p[..., 1, 0] = -1j * sa * (cphi + 1j * sphi)
     # dP/dphase = -i sin(half) * (quadrature axis . sigma)
-    d = np.zeros((n, 2, 2), dtype=complex)
-    d[:, 0, 1] = -1j * sa * (-sphi - 1j * cphi)
-    d[:, 1, 0] = -1j * sa * (-sphi + 1j * cphi)
-    w = np.empty((n + 1, 2, 2), dtype=complex)
-    w[0] = np.eye(2)
+    d = np.zeros(phases.shape + (2, 2), dtype=complex)
+    d[..., 0, 1] = -1j * sa * (-sphi - 1j * cphi)
+    d[..., 1, 0] = -1j * sa * (-sphi + 1j * cphi)
+    w = np.empty(phases.shape[:-1] + (n + 1, 2, 2), dtype=complex)
+    w[..., 0, :, :] = np.eye(2)
     for i in range(n):
-        w[i + 1] = p[i] @ w[i]
+        np.matmul(p[..., i, :, :], w[..., i, :, :], out=w[..., i + 1, :, :])
     return p, d, w
 
 
@@ -196,20 +198,23 @@ def evaluate_controls(
     ``grads[kind][i]`` is the exact derivative of the integral.  The
     harmonic frequency ``omega`` may be arbitrary (even 0) when no
     finite-ratio kind is requested.
+
+    Leading axes of ``phases`` stack profiles that share ``durations``; each
+    profile's results are bit-identical to evaluating it alone.
     """
     phases = np.asarray(phases, dtype=float)
     durations = np.asarray(durations, dtype=float)
     starts = np.concatenate(([0.0], np.cumsum(durations)))[: len(durations)]
     rate = kappa * rabi
     _, d_stack, w = _segment_propagators(phases, durations, rate)
-    wpre = w[:-1]
-    u_qubit = w[-1]
+    wpre = w[..., :-1, :, :]
+    u_qubit = w[..., -1, :, :]
 
     values: dict[str, np.ndarray] = {}
     grads: dict[str, np.ndarray] = {}
     qubit_grad = None
     if want_grad:
-        qubit_grad = np.einsum("nmi,nmk,nkl->nil", w[1:].conj(), d_stack, wpre)
+        qubit_grad = np.einsum(_SANDWICH, w[..., 1:, :, :].conj(), d_stack, wpre)
 
     for name in kinds:
         kind = ALIASES.get(name, name)
@@ -221,15 +226,15 @@ def evaluate_controls(
         s, ds = _segment_terms(
             kind, phases, durations, starts, rabi, omega, rate, want_grad
         )
-        terms = np.einsum("nmi,nmk,nkl->nil", wpre.conj(), s, wpre)
-        total = terms.sum(axis=0)
+        terms = np.einsum(_SANDWICH, wpre.conj(), s, wpre)
+        total = terms.sum(axis=-3)
         values[kind] = total
         values[name] = total
         if want_grad:
-            tails = total[None, :, :] - np.cumsum(terms, axis=0)
-            dv = np.einsum("nmi,nmk,nkl->nil", wpre.conj(), ds, wpre)
-            dv += np.einsum("nmi,nml->nil", qubit_grad.conj(), tails)
-            dv += np.einsum("nim,nml->nil", tails, qubit_grad)
+            tails = total[..., None, :, :] - np.cumsum(terms, axis=-3)
+            dv = np.einsum(_SANDWICH, wpre.conj(), ds, wpre)
+            dv += np.einsum("...nmi,...nml->...nil", qubit_grad.conj(), tails)
+            dv += np.einsum("...nim,...nml->...nil", tails, qubit_grad)
             grads[kind] = dv
             grads[name] = dv
     if want_grad:

@@ -6,6 +6,8 @@ import pytest
 from mipulse.fidelity import GateTarget
 from mipulse.optimize import (
     PRESETS,
+    _residual_columns,
+    _residual_vector,
     composite_reference,
     control_problem,
     cost_and_gradient,
@@ -160,3 +162,13 @@ def test_result_reports_norms_and_iterations():
     assert set(result.constraint_norms) == {"recoil1"}
     assert result.iterations >= 0
     assert result.pulse.duration == pytest.approx(math.pi / RABI)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_residual_columns_match_single_profiles(preset, rng):
+    problem = control_problem(preset, GateTarget(math.pi / 2), ratio=5.0, eta=ETA)
+    profiles = rng.uniform(-math.pi, math.pi, (40, 30))
+    columns = _residual_columns(problem, 4.0)(None, iter(profiles))
+    assert len(columns) == len(profiles)
+    for column, phases in zip(columns, profiles):
+        np.testing.assert_array_equal(column, _residual_vector(phases, problem, 4.0))

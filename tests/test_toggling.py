@@ -9,6 +9,7 @@ from mipulse.operators import SIGMA_X, SIGMA_Z
 from mipulse.propagate import evolve, evolve_qubit, su2_rotation
 from mipulse.pulse import BangAngles, PulseProgram, make_constant
 from mipulse.toggling import (
+    CONSTRAINT_KINDS,
     ToggleIntegrals,
     effective_propagator,
     evaluate_controls,
@@ -271,3 +272,20 @@ def test_toggle_integrals_metadata():
     assert ti.ratio == pytest.approx(5.0)
     assert ti.eta_corrected is True
     assert ti.pulse == pulse
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+def test_stacked_profiles_match_single_evaluation(rng, want_grad):
+    kinds = tuple(CONSTRAINT_KINDS) + ("rabi",)
+    durations = rng.uniform(0.05, 0.3, 23)
+    stack = rng.uniform(-math.pi, math.pi, (2, 3, 23))
+    stacked = evaluate_controls(stack, durations, 1.0, 3.7, 0.98, kinds, want_grad)
+    for index in np.ndindex(stack.shape[:-1]):
+        single = evaluate_controls(stack[index], durations, 1.0, 3.7, 0.98, kinds, want_grad)
+        for many, one in zip(stacked, single):
+            if isinstance(one, dict):
+                assert many.keys() == one.keys()
+                for name in one:
+                    np.testing.assert_array_equal(many[name][index], one[name])
+            else:
+                np.testing.assert_array_equal(many[index], one)
