@@ -4,9 +4,11 @@ For x-axis bang-bang pulses the recoil-free control problem collapses to a
 small nonlinear system in the rotation angles.  At first order the
 three-angle palindrome must satisfy one linear equation (the net rotation
 reaches the target) plus two trigonometric equations equivalent to a
-vanishing first-harmonic recoil integral.  The second-order five-angle
-problem is solved as a bounded least-squares fit of the exact constraint
-integrals.
+vanishing first-harmonic recoil integral, solved by Newton's method with
+its exact Jacobian (sums of cosines).  The second-order five-angle problem
+is solved as a bounded least-squares fit of the exact constraint
+integrals, with the exact Jacobian in the segment durations from
+:func:`~mipulse.toggling.evaluate_controls` folded onto the five angles.
 
 Solutions are never returned unverified: every candidate is re-checked
 against the residual system and the minimal-duration branch is selected.
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .propagate import su2_rotation
 from .pulse import BangAngles
@@ -44,11 +45,22 @@ RESIDUAL_TOL_SECOND = 1e-8
 TABLE_TARGETS_DEG = (45.0, 90.0, 180.0)
 TABLE_RATIOS = (2.0, 3.0, 4.0, 5.0, 6.0)
 
-_FD_STEP = 1e-7
-
 
 class SolverError(RuntimeError):
     """No solution satisfied the residual bound after all restarts."""
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call so that
+    commands which never solve do not load scipy.
+
+    A function of its own rather than ``optimize.least_squares``: the
+    traced benchmark (``perfbench/spans.py``) wraps each by identity, and
+    one shared forwarder would merge the polish into this solver's span.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 def bang_residuals(
@@ -98,21 +110,40 @@ def _reduced(x: np.ndarray, ratio: float, theta_tar: float) -> np.ndarray:
     return np.array([r1, r2])
 
 
-def _newton2(func, x0, tol=1e-13, maxiter=80):
-    """Damped Newton on a 2-vector function with forward-difference Jacobian."""
+def _reduced_jacobian(x: np.ndarray, ratio: float, theta_tar: float) -> np.ndarray:
+    """Exact d(r1, r2)/d(theta1, theta2) of :func:`_reduced`: sums of cosines.
+
+    With h = theta3 / 2 = theta_tar / 2 - theta1 + theta2, both residuals
+    of :func:`bang_residuals` read
+    ``sign * (q sin(p theta1 + q theta2 + p h) - 2 lam sin(q theta2 + p h)
+    + 2 lam sin(p h))``, with (sign, p, q) = (1, lam - 1, lam + 1) for r1
+    and (-1, lam + 1, lam - 1) for r2.
+    """
+    theta1, theta2 = x
+    lam = ratio
+    half3 = 0.5 * theta_tar - theta1 + theta2
+    rows = []
+    for sign, p, q in ((1.0, lam - 1, lam + 1), (-1.0, lam + 1, lam - 1)):
+        c1 = math.cos(p * theta1 + q * theta2 + p * half3)
+        c2 = math.cos(q * theta2 + p * half3)
+        c3 = math.cos(p * half3)
+        rows.append([
+            sign * 2 * lam * p * (c2 - c3),
+            sign * 2 * lam * (q * c1 - 2 * lam * c2 + p * c3),
+        ])
+    return np.array(rows)
+
+
+def _newton2(func, jac, x0, tol=1e-13, maxiter=80):
+    """Damped Newton on a 2-vector function with its exact Jacobian."""
     x = np.array(x0, dtype=float)
     f = func(x)
     for _ in range(maxiter):
         norm = np.linalg.norm(f)
         if norm < tol:
             return x
-        jac = np.empty((2, 2))
-        for j in range(2):
-            bumped = x.copy()
-            bumped[j] += _FD_STEP
-            jac[:, j] = (func(bumped) - f) / _FD_STEP
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jac(x), -f)
         except np.linalg.LinAlgError:
             return None
         damping = 1.0
@@ -124,7 +155,9 @@ def _newton2(func, x0, tol=1e-13, maxiter=80):
                 break
             damping *= 0.5
         else:
-            return None
+            # no descent left: a root at the rounding floor, which grows with
+            # the ratio (terms of size ~ratio), or a stall away from any root
+            return x if norm < RESIDUAL_TOL else None
     return x if np.linalg.norm(func(x)) < tol else None
 
 
@@ -165,7 +198,7 @@ def solve_first_order(
     probed directly since it is the exact solution whenever it satisfies
     the system.  Raises :class:`SolverError` if nothing converges.
     """
-    if ratio <= MIN_RATIO:
+    if not ratio > MIN_RATIO:
         raise ValueError(f"ratio must exceed {MIN_RATIO}, got {ratio}")
     if not 0 < theta_tar <= math.pi:
         raise ValueError(f"theta_tar must be in (0, pi], got {theta_tar}")
@@ -176,6 +209,7 @@ def solve_first_order(
         solutions.append(corner)
 
     func = lambda x: _reduced(x, ratio, theta_tar)
+    jac = lambda x: _reduced_jacobian(x, ratio, theta_tar)
     candidates: list[np.ndarray] = []
 
     # deterministic lattice over the physical angle box; basin widths
@@ -203,7 +237,7 @@ def solve_first_order(
         candidates.extend(np.array([a, b]) for a in first for b in second)
 
     for x0 in candidates:
-        root = _newton2(func, x0)
+        root = _newton2(func, jac, x0)
         if root is None:
             continue
         verified = _verify_first(root[0], root[1], ratio, theta_tar)
@@ -219,28 +253,57 @@ def solve_first_order(
     return min(solutions, key=lambda s: (s.area, s.angles.theta1))
 
 
+#: Angle index of each segment of the nine-segment palindrome.
+_PALINDROME = np.array([0, 1, 2, 3, 4, 3, 2, 1, 0])
+#: Column a marks the segments whose duration is angle a.
+_FOLD = np.eye(5)[_PALINDROME]
+_PALINDROME_PHASES = np.array([0.0, math.pi] * 4 + [0.0])
+_RECOIL_KINDS = ("recoil1", "recoil2")
+
+
+def _split_complex(parts) -> np.ndarray:
+    """Entries of the complex arrays in ``parts``, as real parts then imaginary
+    parts along the last axis."""
+    stacked = np.concatenate(parts, axis=-1)
+    return np.concatenate([stacked.real, stacked.imag], axis=-1)
+
+
 def _second_order_residuals(
     x: np.ndarray, ratio: float, theta_tar: float, kappa: float
 ) -> np.ndarray:
-    thetas = np.array([x[0], x[1], x[2], x[3], x[4], x[3], x[2], x[1], x[0]])
-    phases = np.array([0.0, math.pi] * 4 + [0.0])
     u_qubit, values = evaluate_controls(
-        phases, thetas, 1.0, ratio, kappa, ("recoil1", "recoil2")
+        _PALINDROME_PHASES, x[_PALINDROME], 1.0, ratio, kappa, _RECOIL_KINDS
     )
     target = su2_rotation(theta_tar, 0.0)
-    stacked = np.concatenate(
+    return _split_complex(
         [(u_qubit - target).ravel(), values["recoil1"].ravel(), values["recoil2"].ravel()]
     )
-    return np.concatenate([stacked.real, stacked.imag])
+
+
+def _second_order_jacobian(x: np.ndarray, ratio: float, kappa: float) -> np.ndarray:
+    """Exact Jacobian of :func:`_second_order_residuals` in the five angles.
+
+    Each angle sets the duration of one or two segments, so its column is
+    the sum of those segments' duration derivatives.
+    """
+    u_qubit, _, qubit_grad, grads = evaluate_controls(
+        _PALINDROME_PHASES, x[_PALINDROME], 1.0, ratio, kappa, _RECOIL_KINDS,
+        want_grad=True, wrt="durations",
+    )
+    n = len(_PALINDROME)
+    per_segment = [(u_qubit @ qubit_grad).reshape(n, 4)]
+    per_segment += [grads[kind].reshape(n, 4) for kind in _RECOIL_KINDS]
+    return _split_complex(per_segment).T @ _FOLD
 
 
 _AREA_GRAD = np.array([2.0, 2.0, 2.0, 2.0, 1.0])
 
 
-def _project_to_manifold(fun, x0, max_nfev=600):
+def _project_to_manifold(fun, jac, x0, max_nfev=600):
     fit = least_squares(
         fun,
         np.clip(x0, 0.0, 2 * math.pi),
+        jac=jac,
         bounds=(0.0, 2 * math.pi),
         method="trf",
         xtol=1e-15,
@@ -251,15 +314,15 @@ def _project_to_manifold(fun, x0, max_nfev=600):
     return fit.x, float(np.linalg.norm(fit.fun))
 
 
-def _slide_to_minimum(fun, x0, max_steps=250):
+def _slide_to_minimum(fun, jac, x0, max_steps=250):
     """Minimize the pulse area along the solution manifold.
 
     The five-angle constraint system is rank deficient (its solutions
     form a curve), so the least-duration pulse is an interior minimum of
     the area restricted to that curve.  Each step moves along the local
-    null direction of the residual Jacobian, then re-projects onto the
-    manifold; the step is accepted only if the projection stays resolved
-    and the area decreases.
+    null direction of the exact residual Jacobian (its last right singular
+    vector), then re-projects onto the manifold; the step is accepted only
+    if the projection stays resolved and the area decreases.
     """
     x = x0.copy()
     area = float(_AREA_GRAD @ x)
@@ -267,19 +330,12 @@ def _slide_to_minimum(fun, x0, max_steps=250):
     for _ in range(max_steps):
         if step < 1e-10:
             break
-        f0 = fun(x)
-        jac = np.empty((f0.size, 5))
-        for j in range(5):
-            bumped = x.copy()
-            bumped[j] += _FD_STEP
-            jac[:, j] = (fun(bumped) - f0) / _FD_STEP
-        _, svals, vt = np.linalg.svd(jac)
-        tangent = vt[-1]
+        tangent = np.linalg.svd(jac(x))[2][-1]
         slope = float(_AREA_GRAD @ tangent)
         if abs(slope) < 1e-11:
             break
         direction = -math.copysign(1.0, slope) * tangent
-        trial, norm = _project_to_manifold(fun, x + step * direction, max_nfev=200)
+        trial, norm = _project_to_manifold(fun, jac, x + step * direction, max_nfev=200)
         trial_area = float(_AREA_GRAD @ trial)
         if norm < 1e-12 and trial_area < area - 1e-14:
             x, area = trial, trial_area
@@ -298,13 +354,14 @@ def solve_second_order(
     """Minimal-duration five-angle solution of the second-order problem.
 
     Bounded least squares on the nine-segment palindrome brings random
-    starts onto the constraint manifold (exact integrals, so residuals
-    reach machine level); the area is then minimized along the manifold's
-    null direction.  Converged means the target defect and both recoil
-    norms are below 1e-8.  The slowdown factor fixes the net rotation to
-    ``theta_tar / (1 - eta^2/2)``, which seeds theta5.
+    starts onto the constraint manifold (exact integrals and their exact
+    Jacobian, so residuals reach machine level); the area is then
+    minimized along the manifold's null direction.  Converged means the
+    target defect and both recoil norms are below 1e-8.  The slowdown
+    factor fixes the net rotation to ``theta_tar / (1 - eta^2/2)``, which
+    seeds theta5.
     """
-    if ratio <= MIN_RATIO:
+    if not ratio > MIN_RATIO:
         raise ValueError(f"ratio must exceed {MIN_RATIO}, got {ratio}")
     if not 0 < theta_tar <= math.pi:
         raise ValueError(f"theta_tar must be in (0, pi], got {theta_tar}")
@@ -314,21 +371,24 @@ def solve_second_order(
     def fun(x):
         return _second_order_residuals(x, ratio, theta_tar, kappa)
 
+    def jac(x):
+        return _second_order_jacobian(x, ratio, kappa)
+
     rng = np.random.default_rng(seed)
     on_manifold: list[np.ndarray] = []
     for _ in range(restarts):
         flips = rng.uniform(0.0, 0.45 * theta_tar, size=4)
         theta5 = target_net - 2 * (flips[0] + flips[2] - flips[1] - flips[3])
         x0 = np.concatenate([flips, [max(theta5, 0.05)]])
-        x, norm = _project_to_manifold(fun, x0, max_nfev=2000)
+        x, norm = _project_to_manifold(fun, jac, x0, max_nfev=2000)
         if norm < 1e-12:
             on_manifold.append(x)
     on_manifold.sort(key=lambda x: float(_AREA_GRAD @ x))
 
     solutions: list[BangSolution] = []
     for x0 in on_manifold[:6]:
-        slid = _slide_to_minimum(fun, x0)
-        x, _ = _project_to_manifold(fun, slid)
+        slid = _slide_to_minimum(fun, jac, x0)
+        x, _ = _project_to_manifold(fun, jac, slid)
         x = np.where(np.abs(x) < 1e-12, 0.0, x)
         residuals = fun(x)
         # complex entries were stacked as [target(4), rec1(4), rec2(4)], then

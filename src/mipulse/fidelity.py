@@ -53,6 +53,12 @@ class GateTarget:
     theta: float
     axis_angle: float = 0.0
 
+    def __post_init__(self):
+        for name in ("theta", "axis_angle"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
     @property
     def unitary(self) -> np.ndarray:
         return su2_rotation(self.theta, self.axis_angle)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .bangbang import SolverError, solve_first_order
 from .fidelity import GateTarget
@@ -71,6 +70,21 @@ class OptimizeFailure(RuntimeError):
     """Raised when the minimum-time search exhausts its area ceiling."""
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call so that commands
+    which never optimize do not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class ControlProblem:
     """Target gate plus the set of integrals that must vanish at T.
@@ -104,6 +118,8 @@ def control_problem(
     extra_constraints: tuple[str, ...] = (),
 ) -> ControlProblem:
     """Build a named problem; infinite ratio drops the recoil constraints."""
+    if math.isnan(ratio):
+        raise ValueError("ratio must not be NaN")
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {tuple(PRESETS)}")
     constraints = PRESETS[preset] + tuple(extra_constraints)

@@ -9,13 +9,15 @@ follows grid order.  CSV output carries full float precision and a JSON
 metadata sidecar records the complete configuration.
 
 Grid points are independent; ``jobs > 1`` evaluates them in a process
-pool, gathering results back into deterministic grid order.
+pool of at most one worker per CPU, gathering results back into
+deterministic grid order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -74,7 +76,14 @@ def _map_point(args):
         return (ddelta_frac, domega_frac, float("nan"), f"error:{exc}")
 
 
+def _check_p0(p0: float) -> None:
+    """The occupation is shared by every grid point: reject it once, up front."""
+    if not 0 < p0 <= 1:
+        raise ValueError(f"p0 must be in (0, 1], got {p0}")
+
+
 def _run(points, worker, jobs):
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [worker(p) for p in points]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -98,6 +107,7 @@ def sweep_ratio(
     to ``ratio * rabi`` of each pulse; the error curve depends only on the
     dimensionless ratio.
     """
+    _check_p0(p0)
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValueError("ratio grid must be nonempty")
@@ -143,6 +153,7 @@ def robustness_map(
     simulation Rabi frequency).  Row order is row-major over
     (detuning, rabi) grid order.
     """
+    _check_p0(p0)
     rabi_ref = params.rabi if rabi_ref is None else rabi_ref
     params_dict = asdict(replace(params, delta_detuning=0.0, delta_rabi=0.0))
     points = [

@@ -15,7 +15,8 @@ which is what makes residual targets of 1e-10 affordable.
 The same machinery returns the exact derivative of every integral with
 respect to each segment phase (the per-segment rotation is an explicit
 function of its phase), which the optimizer uses as an adjoint-style
-gradient.
+gradient, or with respect to each segment duration, which gives the
+bang-bang solvers their exact Jacobians.
 
 Averaged-propagator predictions assembled from these integrals are valid
 when the integrated interaction stays small; callers can compare
@@ -58,6 +59,9 @@ CONSTRAINT_KINDS = {
 
 #: ``rabi`` deviations integrate the same operator as ``entangle``.
 ALIASES = {"rabi": "entangle"}
+
+#: Moment-0 kind with the same operator and harmonic as each trap kind.
+_MOMENT0 = {"trap1": "recoil1", "trap2": "recoil2"}
 
 #: Softly flagged bound on the integrated-interaction scale.
 VALIDITY_BOUND = math.pi / 3
@@ -181,6 +185,48 @@ def _segment_terms(
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
+def _tails(terms: np.ndarray) -> np.ndarray:
+    """Sum of the conjugated segment terms after each segment."""
+    return terms.sum(axis=-3)[..., None, :, :] - np.cumsum(terms, axis=-3)
+
+
+def _duration_derivative(
+    kind: str,
+    tails: np.ndarray,
+    tails0: np.ndarray | None,
+    wpost: np.ndarray,
+    qubit_grad: np.ndarray,
+    phases: np.ndarray,
+    ends: np.ndarray,
+    rabi: float,
+    omega: float,
+) -> np.ndarray:
+    """dV/dtau_i of one integral from the tails after each segment.
+
+    Lengthening segment i adds the integrand at its end time t_{i+1}; it
+    delays every later segment, which multiplies the tail by ``i k omega``
+    (and, for a trap kind, adds the tail of its moment-0 partner); and it
+    rotates every later segment by K_i = ``qubit_grad[i]``, which adds the
+    commutator ``tail K_i - K_i tail``.
+    """
+    k, moment = CONSTRAINT_KINDS[kind]
+    half = 0.5 * rabi
+    cphi, sphi = np.cos(phases), np.sin(phases)
+    if kind in ("recoil1", "trap1"):
+        h = half * _pauli_plane(-sphi, cphi)
+    elif kind == "detune":
+        h = np.broadcast_to(half * SIGMA_Z, phases.shape + (2, 2))
+    else:
+        h = half * _pauli_plane(cphi, sphi)
+    edge = np.exp(1j * k * omega * ends) * ends**moment
+    dv = np.einsum(_SANDWICH, wpost.conj(), h, wpost) * edge[:, None, None]
+    dv += 1j * k * omega * tails
+    if moment:
+        dv += tails0
+    dv += tails @ qubit_grad - qubit_grad @ tails
+    return dv
+
+
 def evaluate_controls(
     phases,
     durations,
@@ -189,32 +235,50 @@ def evaluate_controls(
     kappa: float,
     kinds: tuple[str, ...],
     want_grad: bool = False,
+    wrt: str = "phases",
 ):
     """Qubit propagator and constraint integrals of a segmented pulse.
 
     Returns ``(u_qubit, values)`` or, with ``want_grad``,
-    ``(u_qubit, values, qubit_grad, grads)`` where ``qubit_grad[i]`` is the
-    right-logarithmic derivative G_i (so dUq/dphase_i = Uq @ G_i) and
-    ``grads[kind][i]`` is the exact derivative of the integral.  The
-    harmonic frequency ``omega`` may be arbitrary (even 0) when no
-    finite-ratio kind is requested.
+    ``(u_qubit, values, qubit_grad, grads)``.  ``wrt`` names the segment
+    variable x_i the derivatives are taken in: ``"phases"`` or
+    ``"durations"``.  ``qubit_grad[i]`` is the right-logarithmic derivative
+    G_i (so dUq/dx_i = Uq @ G_i) and ``grads[kind][i]`` is the exact
+    derivative of the integral.  The harmonic frequency ``omega`` may be
+    arbitrary (even 0) when no finite-ratio kind is requested.
 
     Leading axes of ``phases`` stack profiles that share ``durations``; each
     profile's results are bit-identical to evaluating it alone.
     """
+    if wrt not in ("phases", "durations"):
+        raise ValueError(f"wrt must be 'phases' or 'durations', got {wrt!r}")
+    by_phase = want_grad and wrt == "phases"
+    by_duration = want_grad and wrt == "durations"
     phases = np.asarray(phases, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    starts = np.concatenate(([0.0], np.cumsum(durations)))[: len(durations)]
+    ends = np.cumsum(durations)
+    starts = np.concatenate(([0.0], ends))[: len(durations)]
     rate = kappa * rabi
     _, d_stack, w = _segment_propagators(phases, durations, rate)
     wpre = w[..., :-1, :, :]
+    wpost = w[..., 1:, :, :]
     u_qubit = w[..., -1, :, :]
+
+    def conjugated_terms(kind):
+        s, ds = _segment_terms(
+            kind, phases, durations, starts, rabi, omega, rate, by_phase
+        )
+        return np.einsum(_SANDWICH, wpre.conj(), s, wpre), ds
 
     values: dict[str, np.ndarray] = {}
     grads: dict[str, np.ndarray] = {}
     qubit_grad = None
-    if want_grad:
-        qubit_grad = np.einsum(_SANDWICH, w[..., 1:, :, :].conj(), d_stack, wpre)
+    if by_phase:
+        qubit_grad = np.einsum(_SANDWICH, wpost.conj(), d_stack, wpre)
+    elif by_duration:
+        # dP_i/dtau_i = -i kappa drive_i P_i, carried to the end of the pulse
+        drive = 0.5 * rabi * _pauli_plane(np.cos(phases), np.sin(phases))
+        qubit_grad = np.einsum(_SANDWICH, wpost.conj(), -1j * kappa * drive, wpost)
 
     for name in kinds:
         kind = ALIASES.get(name, name)
@@ -223,18 +287,23 @@ def evaluate_controls(
             if want_grad:
                 grads[name] = grads[kind]
             continue
-        s, ds = _segment_terms(
-            kind, phases, durations, starts, rabi, omega, rate, want_grad
-        )
-        terms = np.einsum(_SANDWICH, wpre.conj(), s, wpre)
+        terms, ds = conjugated_terms(kind)
         total = terms.sum(axis=-3)
         values[kind] = total
         values[name] = total
-        if want_grad:
-            tails = total[..., None, :, :] - np.cumsum(terms, axis=-3)
+        if by_phase:
+            tails = _tails(terms)
             dv = np.einsum(_SANDWICH, wpre.conj(), ds, wpre)
             dv += np.einsum("...nmi,...nml->...nil", qubit_grad.conj(), tails)
             dv += np.einsum("...nim,...nml->...nil", tails, qubit_grad)
+        elif by_duration:
+            tails0 = None
+            if kind in _MOMENT0:
+                tails0 = _tails(conjugated_terms(_MOMENT0[kind])[0])
+            dv = _duration_derivative(
+                kind, _tails(terms), tails0, wpost, qubit_grad, phases, ends, rabi, omega
+            )
+        if want_grad:
             grads[kind] = dv
             grads[name] = dv
     if want_grad:

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from mipulse.bangbang import (
+    _reduced,
+    _reduced_jacobian,
+    _second_order_jacobian,
+    _second_order_residuals,
     bang_residuals,
     duration_curve,
     solve_first_order,
@@ -165,3 +169,56 @@ def test_duration_curve_records_failures():
     assert rows[0][2].startswith("error:")
     assert math.isnan(rows[0][1])
     assert rows[1][2] == "ok"
+
+
+def central_jacobian(func, x, step=1e-6):
+    columns = []
+    for j in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[j] += step
+        down[j] -= step
+        columns.append((func(up) - func(down)) / (2 * step))
+    return np.stack(columns, axis=1)
+
+
+def test_first_order_jacobian_matches_central_differences(rng):
+    for _ in range(50):
+        x = rng.uniform(0.0, 1.5, 2)
+        ratio, theta = rng.uniform(1.6, 20.0), rng.uniform(0.1, math.pi)
+        exact = _reduced_jacobian(x, ratio, theta)
+        numeric = central_jacobian(lambda y: _reduced(y, ratio, theta), x)
+        assert np.abs(exact - numeric).max() < 1e-8 * max(1.0, np.abs(exact).max())
+
+
+def test_second_order_jacobian_matches_central_differences(rng):
+    # the 24 x 9 duration Jacobian folded onto the five palindrome angles
+    for _ in range(10):
+        x = rng.uniform(0.01, 1.5, 5)
+        ratio, theta = rng.uniform(1.6, 9.0), rng.uniform(0.2, math.pi)
+        kappa = rng.uniform(0.95, 1.0)
+        exact = _second_order_jacobian(x, ratio, kappa)
+        numeric = central_jacobian(
+            lambda y: _second_order_residuals(y, ratio, theta, kappa), x
+        )
+        assert exact.shape == (24, 5)
+        assert np.abs(exact - numeric).max() < 1e-8
+
+
+def test_second_order_quarter_flip_area_independent_of_seed():
+    areas = [solve_second_order(5.0, math.pi / 2, ETA, seed=seed).area for seed in range(5)]
+    assert max(areas) - min(areas) <= 1e-12 * min(areas)
+
+
+@pytest.mark.parametrize("solver", [solve_first_order, solve_second_order])
+def test_solvers_reject_nan_ratio(solver):
+    args = (ETA,) if solver is solve_second_order else ()
+    with pytest.raises(ValueError):
+        solver(math.nan, math.pi / 2, *args)
+
+
+def test_large_ratio_root_at_rounding_floor_is_kept():
+    # at ratio 150 the residual terms are ~300 in size, so Newton stalls a
+    # little above 1e-13 on a genuine root; the verified root is kept
+    solution = solve_first_order(150.0, math.pi / 2)
+    assert solution.residual < 1e-10
+    assert solution.area / (math.pi / 2) - 1 < 0.01

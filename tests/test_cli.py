@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +210,36 @@ def test_design_tod_accepts_infinite_trap_frequency(tmp_path):
     ])
     assert code == 0
     assert json.loads((tmp_path / "tod.json.meta.json").read_text())["result"]["converged"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["design-torf", "--theta", "90", "--omega-hz", "nan"],
+    ["design-tod", "--theta", "90", "--omega-hz", "nan", "--duration-us", "47.1",
+     "--restarts", "1"],
+    ["scan-ratio", "--p0", "nan", "--lmax", "2.1"],
+])
+def test_nan_input_exits_nonzero_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "nan" in capsys.readouterr().err.lower()
+
+
+def test_simulate_nan_target_exits_nonzero(tmp_path, capsys):
+    pulse_path = tmp_path / "torf.json"
+    main(["design-torf", "--theta", "90", "--out", str(pulse_path)])
+    code = main(["simulate", "--pulse", str(pulse_path), "--theta", "nan", "--p0", "1.0"])
+    assert code == 1
+    assert "theta must be finite" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import mipulse.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.strip() == "[]"

@@ -179,3 +179,11 @@ def test_block_kernel_matches_probe_state_route(rng):
             assert np.abs(np.subtract(per_m, oracle)).max() < 1e-14
             thermal_oracle = oracle[: len(report.per_m)]
             assert np.abs(np.subtract(report.per_m, thermal_oracle)).max() < 1e-14
+
+
+@pytest.mark.parametrize("theta, axis", [
+    (math.nan, 0.0), (math.inf, 0.0), (math.pi, math.nan), (math.pi, -math.inf),
+])
+def test_gate_target_rejects_non_finite_angles(theta, axis):
+    with pytest.raises(ValueError, match="must be finite"):
+        GateTarget(theta, axis)

@@ -172,3 +172,11 @@ def test_residual_columns_match_single_profiles(preset, rng):
     assert len(columns) == len(profiles)
     for column, phases in zip(columns, profiles):
         np.testing.assert_array_equal(column, _residual_vector(phases, problem, 4.0))
+
+
+def test_control_problem_rejects_nan_ratio():
+    with pytest.raises(ValueError):
+        control_problem("disentangle", GateTarget(math.pi / 2), ratio=math.nan)
+    assert control_problem("disentangle", GateTarget(math.pi / 2), math.inf).constraints == (
+        "entangle",
+    )

@@ -8,6 +8,7 @@ from mipulse.model import SystemParams
 from mipulse.pulse import make_constant
 from mipulse.bangbang import solve_first_order
 from mipulse.pulse import make_torf
+from mipulse import scan
 from mipulse.scan import (
     error_vs_p0,
     robustness_map,
@@ -175,3 +176,40 @@ def test_csv_deterministic_bytes(tmp_path):
     write_csv(result, a)
     write_csv(result, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweeps_reject_bad_occupation_before_the_grid():
+    params = SystemParams(omega=5 * RABI, rabi=RABI, eta=ETA, truncation=12)
+    pulse = make_constant(math.pi, RABI)
+    for p0 in (math.nan, 0.0, 1.5):
+        with pytest.raises(ValueError, match="p0 must be in"):
+            sweep_ratio(constant_flip_family(), [5.0], "lamb_dicke", p0, GateTarget(math.pi))
+        with pytest.raises(ValueError, match="p0 must be in"):
+            robustness_map(pulse, [0.0], [0.0], p0, GateTarget(math.pi), params)
+
+
+def test_process_pool_is_clamped_to_cpu_count(monkeypatch):
+    created = []
+
+    class RecordingExecutor:
+        # stands in for the process pool: records its size, starts nothing
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, points):
+            return map(worker, points)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 3)
+    assert scan._run([1, 2, 3], abs, 10_000) == [1, 2, 3]
+    assert scan._run([4], abs, 2) == [4]
+    assert created == [3, 2]
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: None)
+    assert scan._run([-5], abs, 64) == [5]
+    assert created == [3, 2]

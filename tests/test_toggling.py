@@ -289,3 +289,38 @@ def test_stacked_profiles_match_single_evaluation(rng, want_grad):
                     np.testing.assert_array_equal(many[name][index], one[name])
             else:
                 np.testing.assert_array_equal(many[index], one)
+
+
+@pytest.mark.parametrize("omega", [3.7, 0.0])
+def test_duration_derivatives_match_central_differences(rng, omega):
+    # omega = 0 is allowed when no finite-ratio kind is asked for
+    if omega:
+        kinds = tuple(CONSTRAINT_KINDS) + ("rabi",)
+    else:
+        kinds = ("entangle", "detune", "rabi")
+    step = 1e-5
+    for _ in range(4):
+        n = int(rng.integers(2, 10))
+        phases = rng.uniform(-math.pi, math.pi, n)
+        durations = rng.uniform(0.05, 1.2, n)
+        kappa = rng.uniform(0.9, 0.99)
+        u_qubit, _, qubit_grad, grads = evaluate_controls(
+            phases, durations, 1.3, omega, kappa, kinds, want_grad=True, wrt="durations"
+        )
+        for i in range(n):
+            up, down = durations.copy(), durations.copy()
+            up[i] += step
+            down[i] -= step
+            u_up, v_up = evaluate_controls(phases, up, 1.3, omega, kappa, kinds)
+            u_down, v_down = evaluate_controls(phases, down, 1.3, omega, kappa, kinds)
+            du = (u_up - u_down) / (2 * step)
+            assert np.abs(du - u_qubit @ qubit_grad[i]).max() < 1e-8
+            for name in kinds:
+                dv = (v_up[name] - v_down[name]) / (2 * step)
+                scale = max(1.0, np.abs(grads[name][i]).max())
+                assert np.abs(dv - grads[name][i]).max() / scale < 1e-7, name
+
+
+def test_derivative_variable_is_checked():
+    with pytest.raises(ValueError):
+        evaluate_controls([0.0], [1.0], 1.0, 0.0, 1.0, ("entangle",), True, wrt="rabi")
