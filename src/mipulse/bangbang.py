@@ -5,10 +5,14 @@ small nonlinear system in the rotation angles.  At first order the
 three-angle palindrome must satisfy one linear equation (the net rotation
 reaches the target) plus two trigonometric equations equivalent to a
 vanishing first-harmonic recoil integral, solved by Newton's method with
-its exact Jacobian (sums of cosines).  The second-order five-angle problem
-is solved as a bounded least-squares fit of the exact constraint
-integrals, with the exact Jacobian in the segment durations from
-:func:`~mipulse.toggling.evaluate_controls` folded onto the five angles.
+its exact Jacobian (sums of cosines).  The second-order five-angle
+constraints leave a curve of solutions.  Its search is deterministic: a
+fixed lattice of starts is projected onto the curve by bounded least
+squares of the exact constraint integrals, with the exact Jacobian in the
+segment durations from :func:`~mipulse.toggling.evaluate_controls` folded
+onto the five angles, and the lowest projections slide along the curve to
+the least pulse area, stopping exactly on an angle bound when the minimum
+lies there.
 
 Solutions are never returned unverified: every candidate is re-checked
 against the residual system and the minimal-duration branch is selected.
@@ -16,6 +20,7 @@ against the residual system and the minimal-duration branch is selected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +52,7 @@ TABLE_RATIOS = (2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 class SolverError(RuntimeError):
-    """No solution satisfied the residual bound after all restarts."""
+    """No start led to a solution within the residual bound."""
 
 
 def least_squares(*args, **kwargs):
@@ -297,13 +302,27 @@ def _second_order_jacobian(x: np.ndarray, ratio: float, kappa: float) -> np.ndar
 
 
 _AREA_GRAD = np.array([2.0, 2.0, 2.0, 2.0, 1.0])
+_ALL_FREE = np.ones(5, dtype=bool)
+#: Largest arc-length step of the slide before the minimum is bracketed.
+_MAX_STEP = 0.1
 
 
-def _project_to_manifold(fun, jac, x0, max_nfev=600):
+def _project_to_manifold(fun, jac, x0, max_nfev, free=_ALL_FREE):
+    """A solution near ``x0`` by bounded least squares, with the exact
+    Jacobian; the angles not marked ``free`` are held at 0.
+
+    Returns the point and its residual norm.
+    """
+
+    def full(y):
+        x = np.zeros(len(free))
+        x[free] = y
+        return x
+
     fit = least_squares(
-        fun,
-        np.clip(x0, 0.0, 2 * math.pi),
-        jac=jac,
+        lambda y: fun(full(y)),
+        np.clip(x0[free], 0.0, 2 * math.pi),
+        jac=lambda y: jac(full(y))[:, free],
         bounds=(0.0, 2 * math.pi),
         method="trf",
         xtol=1e-15,
@@ -311,55 +330,105 @@ def _project_to_manifold(fun, jac, x0, max_nfev=600):
         gtol=1e-15,
         max_nfev=max_nfev,
     )
-    return fit.x, float(np.linalg.norm(fit.fun))
+    return full(fit.x), float(np.linalg.norm(fit.fun))
 
 
-def _slide_to_minimum(fun, jac, x0, max_steps=250):
-    """Minimize the pulse area along the solution manifold.
+def _tangent(jac_x: np.ndarray, along: np.ndarray) -> np.ndarray:
+    """Unit tangent of the solution curve, the null vector of its exact
+    Jacobian ``jac_x`` (last right singular vector), signed along ``along``."""
+    tangent = np.linalg.svd(jac_x)[2][-1]
+    return tangent if tangent @ along >= 0 else -tangent
 
-    The five-angle constraint system is rank deficient (its solutions
-    form a curve), so the least-duration pulse is an interior minimum of
-    the area restricted to that curve.  Each step moves along the local
-    null direction of the exact residual Jacobian (its last right singular
-    vector), then re-projects onto the manifold; the step is accepted only
-    if the projection stays resolved and the area decreases.
+
+def _slide_to_minimum(fun, jac, x0, max_steps=100):
+    """Least-area point of the solution curve through ``x0``.
+
+    The five-angle constraint system is rank deficient, so its solutions
+    form a curve.  The slide follows it downhill in arc length ``sigma``
+    (measured by the chords between accepted points) and finds the zero of
+    the area's slope along the curve by secant steps.  Until a point with
+    rising area brackets the zero, steps go downhill, at most
+    ``_MAX_STEP``; where the secant does not point downhill the step is
+    twice the last.  After, a secant step outside the bracket is replaced
+    by its midpoint.  Each step moves along the tangent and projects back
+    onto the curve.
+
+    A step that would take an angle below zero stops on that bound: the
+    angle is fixed at 0 and the other four are projected.  The bound point
+    is the minimum when the area rises along the curve into the box;
+    otherwise it brackets an interior minimum.  When the curve bends away
+    before it reaches the bound (the four-angle projection finds no
+    solution), the step goes half way to the bound instead.
     """
-    x = x0.copy()
-    area = float(_AREA_GRAD @ x)
-    step = 0.05
+    x = x0
+    tangent = _tangent(jac(x), -_AREA_GRAD)
+    sigma, slope = 0.0, float(_AREA_GRAD @ tangent)
+    downhill, uphill, previous = (sigma, slope), None, None
+    step = 0.01  # the first step is twice this
     for _ in range(max_steps):
-        if step < 1e-10:
+        if slope == 0.0:
             break
-        tangent = np.linalg.svd(jac(x))[2][-1]
-        slope = float(_AREA_GRAD @ tangent)
-        if abs(slope) < 1e-11:
-            break
-        direction = -math.copysign(1.0, slope) * tangent
-        trial, norm = _project_to_manifold(fun, jac, x + step * direction, max_nfev=200)
-        trial_area = float(_AREA_GRAD @ trial)
-        if norm < 1e-12 and trial_area < area - 1e-14:
-            x, area = trial, trial_area
+        target = None
+        if previous is not None and slope != previous[1]:
+            target = sigma - slope * (sigma - previous[0]) / (slope - previous[1])
+        if uphill is None:
+            if target is None or target <= sigma:
+                target = sigma + 2 * abs(step)
+            target = min(target, sigma + _MAX_STEP)
         else:
-            step *= 0.5
+            low, high = sorted((downhill[0], uphill[0]))
+            if target is None or not low < target < high:
+                target = 0.5 * (low + high)
+        step = target - sigma
+        if abs(step) < 1e-13:
+            break
+
+        move = step * tangent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(move < 0, -x / move, np.inf)
+        bound = int(np.argmin(reach))
+        if reach[bound] <= 1.0:
+            trial = x + reach[bound] * move
+            free = np.arange(5) != bound
+            new, norm = _project_to_manifold(fun, jac, trial, 200, free)
+            if norm >= 1e-12:
+                step *= 0.5 * reach[bound]
+                bound = None
+                new, norm = _project_to_manifold(fun, jac, x + step * tangent, 200)
+        else:
+            bound = None
+            new, norm = _project_to_manifold(fun, jac, x + move, 200)
+        if norm >= 1e-12:
+            break
+
+        new_tangent = _tangent(jac(new), tangent)
+        if bound is not None and new_tangent[bound] * (_AREA_GRAD @ new_tangent) >= 0:
+            # moving into the box (tangent component > 0) does not lower the area
+            return new
+        previous = (sigma, slope)
+        sigma += math.copysign(float(np.linalg.norm(new - x)), step)
+        x, tangent, slope = new, new_tangent, float(_AREA_GRAD @ new_tangent)
+        if slope < 0:
+            downhill = (sigma, slope)
+        else:
+            uphill = (sigma, slope)
     return x
 
 
-def solve_second_order(
-    ratio: float,
-    theta_tar: float,
-    eta: float,
-    restarts: int = 24,
-    seed: int = 0,
-) -> BangSolution:
+def solve_second_order(ratio: float, theta_tar: float, eta: float) -> BangSolution:
     """Minimal-duration five-angle solution of the second-order problem.
 
-    Bounded least squares on the nine-segment palindrome brings random
-    starts onto the constraint manifold (exact integrals and their exact
-    Jacobian, so residuals reach machine level); the area is then
-    minimized along the manifold's null direction.  Converged means the
-    target defect and both recoil norms are below 1e-8.  The slowdown
-    factor fixes the net rotation to ``theta_tar / (1 - eta^2/2)``, which
-    seeds theta5.
+    The search is deterministic.  Its starts are two lattices of 2^4 flip
+    angles (theta1..theta4 at 0.25 and 0.75 of a box), with theta5 set by
+    the net rotation ``theta_tar / (1 - eta^2/2)``.  One box is
+    ``[0, 0.45 theta_tar]``; the other is capped at ``2 / ratio``, since
+    the basins shrink as 1/ratio.  Bounded least squares with the exact
+    Jacobian projects each start onto the solution curve, and the six
+    lowest-area projections slide along it to the least area
+    (:func:`_slide_to_minimum`), which ends exactly on a zero angle when
+    the minimum lies on that bound.  Converged means the target defect
+    and both recoil norms are below 1e-8; the least-area converged point
+    is returned.
     """
     if not ratio > MIN_RATIO:
         raise ValueError(f"ratio must exceed {MIN_RATIO}, got {ratio}")
@@ -374,22 +443,22 @@ def solve_second_order(
     def jac(x):
         return _second_order_jacobian(x, ratio, kappa)
 
-    rng = np.random.default_rng(seed)
     on_manifold: list[np.ndarray] = []
-    for _ in range(restarts):
-        flips = rng.uniform(0.0, 0.45 * theta_tar, size=4)
-        theta5 = target_net - 2 * (flips[0] + flips[2] - flips[1] - flips[3])
-        x0 = np.concatenate([flips, [max(theta5, 0.05)]])
-        x, norm = _project_to_manifold(fun, jac, x0, max_nfev=2000)
-        if norm < 1e-12:
-            on_manifold.append(x)
+    # one lattice when 2 / ratio does not cap the box
+    widths = dict.fromkeys((0.45 * theta_tar, min(0.45 * theta_tar, 2.0 / ratio)))
+    for width in widths:
+        for levels in itertools.product((0.25 * width, 0.75 * width), repeat=4):
+            flips = np.array(levels)
+            theta5 = target_net - 2 * (flips[0] + flips[2] - flips[1] - flips[3])
+            x0 = np.append(flips, max(theta5, 0.05))
+            x, norm = _project_to_manifold(fun, jac, x0, 2000)
+            if norm < 1e-12:
+                on_manifold.append(x)
     on_manifold.sort(key=lambda x: float(_AREA_GRAD @ x))
 
     solutions: list[BangSolution] = []
     for x0 in on_manifold[:6]:
-        slid = _slide_to_minimum(fun, jac, x0)
-        x, _ = _project_to_manifold(fun, jac, slid)
-        x = np.where(np.abs(x) < 1e-12, 0.0, x)
+        x = _slide_to_minimum(fun, jac, x0)
         residuals = fun(x)
         # complex entries were stacked as [target(4), rec1(4), rec2(4)], then
         # split into real parts [0:12] and imaginary parts [12:24]

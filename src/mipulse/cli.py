@@ -88,7 +88,7 @@ def _cmd_design_bang(args, order: str) -> int:
         solution = solve_first_order(ratio, theta, seed=args.seed)
         kind = "recoil-free"
     else:
-        solution = solve_second_order(ratio, theta, args.eta, seed=args.seed)
+        solution = solve_second_order(ratio, theta, args.eta)
         kind = "second-order recoil-free"
     pulse = shift_axis(make_torf(solution.angles, rabi), math.radians(args.axis))
     pulse = pulse.relabel(f"{kind} bang-bang theta={args.theta}deg ratio={ratio:.6g}")
@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, required=True, help="target angle, degrees")
         p.add_argument("--axis", type=float, default=0.0,
                        help="target axis in the equatorial plane, degrees")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="random seed of the search, recorded in the sidecar; "
+                            "design-torf2's search is deterministic and ignores it")
         p.add_argument("--out", required=True, help="output pulse file")
 
     for name, order in (("design-torf", "first"), ("design-torf2", "second")):

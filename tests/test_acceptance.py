@@ -75,7 +75,7 @@ def gate_error_for(pulse, ratio, target, p0, model, rabi=RABI, **kw):
 
 @pytest.fixture(scope="module")
 def torf2_solution():
-    return solve_second_order(5.0, math.pi / 2, ETA, seed=0)
+    return solve_second_order(5.0, math.pi / 2, ETA)
 
 
 @pytest.fixture(scope="module")

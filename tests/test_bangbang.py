@@ -204,9 +204,24 @@ def test_second_order_jacobian_matches_central_differences(rng):
         assert np.abs(exact - numeric).max() < 1e-8
 
 
-def test_second_order_quarter_flip_area_independent_of_seed():
-    areas = [solve_second_order(5.0, math.pi / 2, ETA, seed=seed).area for seed in range(5)]
-    assert max(areas) - min(areas) <= 1e-12 * min(areas)
+def test_second_order_minimum_on_bound_is_exact():
+    # at 45 degrees the least area lies on the theta5 = 0 bound
+    solution = solve_second_order(5.0, math.pi / 4, ETA)
+    assert solution.angles.theta5 == 0.0
+    assert abs(solution.area - 1.596324039018308) <= 1e-13
+    assert solution.residual < 1e-12
+
+
+def test_second_order_half_flip_minimum():
+    # local minima at 1.218979 pi and 1.251449 pi lie close to this one
+    solution = solve_second_order(5.0, math.pi, ETA)
+    assert abs(solution.area / math.pi - 1.213257730400491) <= 1e-12
+
+
+def test_second_order_half_flip_large_ratio():
+    # a local minimum at 1.0745938 pi lies close to this one
+    solution = solve_second_order(10.0, math.pi, ETA)
+    assert solution.area / math.pi <= 1.0739767 * (1 + 1e-7)
 
 
 @pytest.mark.parametrize("solver", [solve_first_order, solve_second_order])

@@ -45,6 +45,24 @@ def test_design_torf2_published_area(tmp_path):
     assert len(pulse.segments) == 9
 
 
+def test_design_torf2_independent_of_seed(tmp_path):
+    # the search ignores --seed; a local minimum 28% longer lies close by
+    outs = [tmp_path / f"torf2_{seed}.json" for seed in (0, 36, 62)]
+    for seed, out in zip((0, 36, 62), outs):
+        assert main(["design-torf2", "--theta", "90", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    sidecar = json.loads((tmp_path / "torf2_0.json.meta.json").read_text())
+    assert abs(sidecar["result"]["pulse_area_rad"] - 2.1214477756080843) <= 1e-12
+
+
+def test_design_torf2_bound_minimum_drops_segments(tmp_path):
+    # theta5 = 0 exactly, so the middle segment vanishes and its neighbours merge
+    out = tmp_path / "torf2.json"
+    assert main(["design-torf2", "--theta", "45", "--out", str(out)]) == 0
+    assert len(load_pulse(out).segments) == 7
+
+
 def test_simulate_reports_error(tmp_path, capsys):
     out = tmp_path / "torf.json"
     main(["design-torf", "--theta", "90", "--out", str(out)])

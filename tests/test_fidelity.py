@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipulse.fidelity import (
     GateTarget,
@@ -16,7 +18,7 @@ from mipulse.fidelity import (
 )
 from mipulse.model import SystemParams
 from mipulse.propagate import evolve
-from mipulse.pulse import make_constant
+from mipulse.pulse import PulseProgram, make_constant, shift_axis
 from oracles import probe_fidelity
 
 RABI = 2 * math.pi * 20e3
@@ -187,3 +189,28 @@ def test_block_kernel_matches_probe_state_route(rng):
 def test_gate_target_rejects_non_finite_angles(theta, axis):
     with pytest.raises(ValueError, match="must be finite"):
         GateTarget(theta, axis)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    segments=st.lists(
+        st.tuples(st.floats(0.1e-6, 20e-6), st.floats(-math.pi, math.pi)),
+        min_size=1, max_size=6,
+    ),
+    theta=st.floats(0.1, math.pi),
+    axis=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_shift_axis_rotates_gate_and_target_alike(segments, theta, axis):
+    # the path of design-torf2 --axis: shifting every phase by axis conjugates
+    # the propagator by the qubit z rotation that turns GateTarget(theta, 0)
+    # into GateTarget(theta, axis).  Operators are compared, not fidelities:
+    # the four-probe average is not invariant under that rotation.
+    pulse = PulseProgram(rabi=RABI, segments=tuple(segments))
+    params = SystemParams(omega=OMEGA, rabi=RABI, eta=ETA)
+    z = np.exp(1j * axis * np.repeat([0.0, 1.0], params.truncation + 1))
+    u = evolve(params, pulse).operator
+    shifted = evolve(params, shift_axis(pulse, axis)).operator
+    assert np.abs(shifted - z[:, None] * u * z.conj()).max() <= 1e-12
+    r = z[[0, -1]]
+    rotated = r[:, None] * GateTarget(theta, 0.0).unitary * r.conj()
+    assert np.abs(GateTarget(theta, axis).unitary - rotated).max() <= 1e-15
