@@ -20,6 +20,7 @@ against the residual system and the minimal-duration branch is selected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -273,12 +274,23 @@ def _split_complex(parts) -> np.ndarray:
     return np.concatenate([stacked.real, stacked.imag], axis=-1)
 
 
+@functools.lru_cache(maxsize=1)
+def _palindrome_controls(x_bytes: bytes, ratio: float, kappa: float):
+    """The palindrome's controls and duration derivatives at the float64 angles
+    ``x_bytes``.  scipy's ``trf`` asks for the residuals, then the Jacobian,
+    at one x: both read this evaluation (its ``values`` are the same bits as
+    without derivatives)."""
+    x = np.frombuffer(x_bytes)
+    return evaluate_controls(
+        _PALINDROME_PHASES, x[_PALINDROME], 1.0, ratio, kappa, _RECOIL_KINDS,
+        want_grad=True, wrt="durations",
+    )
+
+
 def _second_order_residuals(
     x: np.ndarray, ratio: float, theta_tar: float, kappa: float
 ) -> np.ndarray:
-    u_qubit, values = evaluate_controls(
-        _PALINDROME_PHASES, x[_PALINDROME], 1.0, ratio, kappa, _RECOIL_KINDS
-    )
+    u_qubit, values, _, _ = _palindrome_controls(x.tobytes(), ratio, kappa)
     target = su2_rotation(theta_tar, 0.0)
     return _split_complex(
         [(u_qubit - target).ravel(), values["recoil1"].ravel(), values["recoil2"].ravel()]
@@ -291,10 +303,7 @@ def _second_order_jacobian(x: np.ndarray, ratio: float, kappa: float) -> np.ndar
     Each angle sets the duration of one or two segments, so its column is
     the sum of those segments' duration derivatives.
     """
-    u_qubit, _, qubit_grad, grads = evaluate_controls(
-        _PALINDROME_PHASES, x[_PALINDROME], 1.0, ratio, kappa, _RECOIL_KINDS,
-        want_grad=True, wrt="durations",
-    )
+    u_qubit, _, qubit_grad, grads = _palindrome_controls(x.tobytes(), ratio, kappa)
     n = len(_PALINDROME)
     per_segment = [(u_qubit @ qubit_grad).reshape(n, 4)]
     per_segment += [grads[kind].reshape(n, 4) for kind in _RECOIL_KINDS]

@@ -108,6 +108,12 @@ def _level_fidelities(operator: np.ndarray, dim_m: int, target: GateTarget, leve
 
     A probe at level m and its target image lie in span{|g,m>, |e,m>}, so
     only the 2x2 block of the operator on that pair enters.
+
+    The four probes (|g>, |e>, |+>, |+i>) are not a 2-design, so the average
+    is not invariant under qubit rotations: a gate and its copy turned about
+    z (``--axis``) report slightly different errors.  The 90 deg, ratio-5
+    second-order pulse at p0 0.95 gives 6.30394e-5 at axis 0 and 6.31018e-5
+    at axis pi.
     """
     m = np.asarray(levels)
     pair = np.stack([m, dim_m + m])

@@ -13,10 +13,13 @@ contributes an analytic primitive: there is no quadrature error anywhere,
 which is what makes residual targets of 1e-10 affordable.
 
 The same machinery returns the exact derivative of every integral with
-respect to each segment phase (the per-segment rotation is an explicit
-function of its phase), which the optimizer uses as an adjoint-style
+respect to each segment phase, which the optimizer uses as an adjoint-style
 gradient, or with respect to each segment duration, which gives the
-bang-bang solvers their exact Jacobians.
+bang-bang solvers their exact Jacobians.  All of it is one vectorized SU(2)
+kernel with no loop over segments: the prefix products of the segment
+rotations, held as Cayley-Klein pairs, come from a doubling scan in
+ceil(log2 n) steps, and every conjugation, qubit gradient and commutator
+is a closed-form expression in their entries.
 
 Averaged-propagator predictions assembled from these integrals are valid
 when the integrated interaction stays small; callers can compare
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams
-from .operators import SIGMA_Z, expm_hermitian, tensor
+from .operators import expm_hermitian, tensor
 from .pulse import PulseProgram
 
 __all__ = [
@@ -70,10 +73,6 @@ VALIDITY_BOUND = math.pi / 3
 #: treatment is invalid anyway (strong motional excitation).
 MIN_RATIO = 1.5
 
-#: einsum of the per-segment conjugation A_n^dag B_n C_n.
-_SANDWICH = "...nmi,...nmk,...nkl->...nil"
-
-
 # ---------------------------------------------------------------------------
 # elementary segment primitives
 
@@ -96,76 +95,100 @@ def _e1(mu: float, tau: np.ndarray) -> np.ndarray:
     return np.where(small, series, general)
 
 
-def _pauli_plane(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Stack of ``c*sx + s*sy`` for component arrays c, s of shape (..., N)."""
-    out = np.zeros(c.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = c - 1j * s
-    out[..., 1, 0] = c + 1j * s
+# ---------------------------------------------------------------------------
+# SU(2) segment kernel
+#
+# A prefix product W = [[alpha, -conj(beta)], [beta, conj(alpha)]] is held as
+# its Cayley-Klein pair, and a traceless operator [[z, p], [q, -z]] as its
+# components (z, p, q).  On segment i every operator conjugated is a phase-0
+# operator turned about z, (z, p e^{-i phi_i}, q e^{i phi_i}), so the phase-0
+# components depend on the durations alone and stacked profiles share them.
+
+def _prefix_products(e: np.ndarray, half: np.ndarray):
+    """Cayley-Klein pairs of W_0 = 1, ..., W_n, where W_{i+1} = P_i W_i and
+    P_i turns by 2 ``half`` about the axis at phase phi_i (``e`` = e^{i phi}).
+
+    A doubling scan: after the step of width w, entry i holds the product
+    of the up to 2w rotations ending at segment i, so ceil(log2 n) steps
+    complete every prefix.
+    """
+    alpha = np.ones(e.shape[:-1] + (e.shape[-1] + 1,), dtype=complex)
+    beta = np.zeros_like(alpha)
+    alpha[..., 1:] = np.cos(half)
+    beta[..., 1:] = -1j * np.sin(half) * e
+    a, b = alpha[..., 1:], beta[..., 1:]
+    width = 1
+    while width < e.shape[-1]:
+        a1, b1, a2, b2 = a[..., width:], b[..., width:], a[..., :-width], b[..., :-width]
+        a1[...], b1[...] = a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2
+        width *= 2
+    return alpha, beta
+
+
+def _conjugated(alpha, beta, e, rows: np.ndarray) -> np.ndarray:
+    """Components of W_i^dag S_i W_i from the phase-0 components ``rows``
+    (shape (rows, 3, n)) of S_i, where W_i = (``alpha``, ``beta``) and ``e``
+    is e^{i phi_i}, both of shape (..., n); the result is (3, ..., rows, n)."""
+    z, p, q = rows.swapaxes(0, 1)
+    ce = e.conj()
+    c = (alpha.conj() * beta * ce)[..., None, :]
+    a2 = (alpha * alpha * e)[..., None, :]
+    b2 = (beta * beta * ce)[..., None, :]
+    ab = (-2 * alpha * beta)[..., None, :]
+    d = (alpha * alpha.conj() - beta * beta.conj()).real[..., None, :]
+    return np.array((
+        z * d + p * c + q * c.conj(),
+        z * ab.conj() + p * a2.conj() - q * b2.conj(),
+        z * ab - p * b2 + q * a2,
+    ))
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of [A, B] from the components of traceless A and B."""
+    return np.array((
+        a[1] * b[2] - a[2] * b[1],
+        2 * (a[0] * b[1] - a[1] * b[0]),
+        2 * (a[2] * b[0] - a[0] * b[2]),
+    ))
+
+
+def _matrices(*entries) -> np.ndarray:
+    """The 2x2 matrices with entries (0, 0), (0, 1), (1, 0), (1, 1)."""
+    out = np.empty(entries[0].shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
     return out
 
 
-def _segment_propagators(
-    phases: np.ndarray, durations: np.ndarray, rate: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment rotations P, their phase derivatives D, and cumulative W.
-
-    ``W[..., i, :, :]`` is the product of the first i rotations (identity at
-    i = 0), so ``W[..., -1, :, :]`` is the full ideal-qubit propagator.
-    """
-    n = phases.shape[-1]
-    half = 0.5 * rate * durations
-    ca, sa = np.cos(half), np.sin(half)
-    cphi, sphi = np.cos(phases), np.sin(phases)
-    p = np.zeros(phases.shape + (2, 2), dtype=complex)
-    p[..., 0, 0] = ca
-    p[..., 1, 1] = ca
-    p[..., 0, 1] = -1j * sa * (cphi - 1j * sphi)
-    p[..., 1, 0] = -1j * sa * (cphi + 1j * sphi)
-    # dP/dphase = -i sin(half) * (quadrature axis . sigma)
-    d = np.zeros(phases.shape + (2, 2), dtype=complex)
-    d[..., 0, 1] = -1j * sa * (-sphi - 1j * cphi)
-    d[..., 1, 0] = -1j * sa * (-sphi + 1j * cphi)
-    w = np.empty(phases.shape[:-1] + (n + 1, 2, 2), dtype=complex)
-    w[..., 0, :, :] = np.eye(2)
-    for i in range(n):
-        np.matmul(p[..., i, :, :], w[..., i, :, :], out=w[..., i + 1, :, :])
-    return p, d, w
-
-
-def _segment_terms(
-    kind: str,
-    phases: np.ndarray,
-    durations: np.ndarray,
-    starts: np.ndarray,
-    rabi: float,
-    omega: float,
-    rate: float,
-    want_grad: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Closed-form segment integrals S (and dS/dphase) before conjugation.
+def _components(kind: str, half: float, one, cos, sin) -> np.ndarray:
+    """Phase-0 components of a kind's integrand, weighted per segment.
 
     Within a segment the conjugated operator decomposes onto the drive
-    axis, its quadrature, and sz, with coefficients 1, cos(rate*s) and
-    sin(rate*s); multiplying by e^{i k omega s} leaves sums of complex
-    exponentials whose primitives are ``_e0``/``_e1``.
+    axis, its quadrature, and sz with coefficients 1, cos(rate*s) and
+    sin(rate*s); ``one``, ``cos`` and ``sin`` are what those coefficients
+    become (their integrals, or their values at one time).
+    """
+    if kind in ("recoil2", "entangle", "trap2"):  # the drive, constant in s
+        return np.array([np.zeros_like(one), half * one, half * one])
+    if kind in ("recoil1", "trap1"):  # quadrature cos(rate s) - sz sin(rate s)
+        return np.array([-half * sin, -1j * half * cos, 1j * half * cos])
+    # detune: sz cos(rate s) + quadrature sin(rate s)
+    return np.array([half * cos, -1j * half * sin, 1j * half * sin])
+
+
+def _segment_integral(kind, durations, starts, rabi, omega, rate) -> np.ndarray:
+    """Phase-0 components of each segment's closed-form integral of a kind.
+
+    Multiplying the integrand's coefficients by e^{i k omega s} leaves sums
+    of complex exponentials whose primitives are ``_e0``/``_e1``.
     """
     k, moment = CONSTRAINT_KINDS[kind]
-    half = 0.5 * rabi
-    cphi, sphi = np.cos(phases), np.sin(phases)
-    drive = half * _pauli_plane(cphi, sphi)
-    quad = half * _pauli_plane(-sphi, cphi)
-    front = np.exp(1j * k * omega * starts)[:, None, None]
     kw = k * omega
-
+    front = np.exp(1j * kw * starts)
     if kind in ("recoil2", "entangle", "trap2"):
-        # integrand commutes with the segment rotation: a single primitive
         base = _e0(kw, durations)
         if moment:
             base = starts * base + _e1(kw, durations)
-        s = front * drive * base[:, None, None]
-        ds = front * quad * base[:, None, None] if want_grad else None
-        return s, ds
-
+        return _components(kind, 0.5 * rabi, front * base, None, None)
     e0p, e0m = _e0(kw + rate, durations), _e0(kw - rate, durations)
     cos0 = 0.5 * (e0p + e0m)
     sin0 = -0.5j * (e0p - e0m)
@@ -173,58 +196,7 @@ def _segment_terms(
         e1p, e1m = _e1(kw + rate, durations), _e1(kw - rate, durations)
         cos0 = starts * cos0 + 0.5 * (e1p + e1m)
         sin0 = starts * sin0 - 0.5j * (e1p - e1m)
-
-    if kind in ("recoil1", "trap1"):
-        s = front * (quad * cos0[:, None, None] - half * SIGMA_Z * sin0[:, None, None])
-        ds = front * (-drive) * cos0[:, None, None] if want_grad else None
-        return s, ds
-    if kind == "detune":
-        s = half * SIGMA_Z * cos0[:, None, None] + quad * sin0[:, None, None]
-        ds = (-drive) * sin0[:, None, None] if want_grad else None
-        return s, ds
-    raise ValueError(f"unknown constraint kind {kind!r}")
-
-
-def _tails(terms: np.ndarray) -> np.ndarray:
-    """Sum of the conjugated segment terms after each segment."""
-    return terms.sum(axis=-3)[..., None, :, :] - np.cumsum(terms, axis=-3)
-
-
-def _duration_derivative(
-    kind: str,
-    tails: np.ndarray,
-    tails0: np.ndarray | None,
-    wpost: np.ndarray,
-    qubit_grad: np.ndarray,
-    phases: np.ndarray,
-    ends: np.ndarray,
-    rabi: float,
-    omega: float,
-) -> np.ndarray:
-    """dV/dtau_i of one integral from the tails after each segment.
-
-    Lengthening segment i adds the integrand at its end time t_{i+1}; it
-    delays every later segment, which multiplies the tail by ``i k omega``
-    (and, for a trap kind, adds the tail of its moment-0 partner); and it
-    rotates every later segment by K_i = ``qubit_grad[i]``, which adds the
-    commutator ``tail K_i - K_i tail``.
-    """
-    k, moment = CONSTRAINT_KINDS[kind]
-    half = 0.5 * rabi
-    cphi, sphi = np.cos(phases), np.sin(phases)
-    if kind in ("recoil1", "trap1"):
-        h = half * _pauli_plane(-sphi, cphi)
-    elif kind == "detune":
-        h = np.broadcast_to(half * SIGMA_Z, phases.shape + (2, 2))
-    else:
-        h = half * _pauli_plane(cphi, sphi)
-    edge = np.exp(1j * k * omega * ends) * ends**moment
-    dv = np.einsum(_SANDWICH, wpost.conj(), h, wpost) * edge[:, None, None]
-    dv += 1j * k * omega * tails
-    if moment:
-        dv += tails0
-    dv += tails @ qubit_grad - qubit_grad @ tails
-    return dv
+    return _components(kind, 0.5 * rabi, None, front * cos0, front * sin0)
 
 
 def evaluate_controls(
@@ -248,7 +220,16 @@ def evaluate_controls(
     arbitrary (even 0) when no finite-ratio kind is requested.
 
     Leading axes of ``phases`` stack profiles that share ``durations``; each
-    profile's results are bit-identical to evaluating it alone.
+    profile's results are bit-identical to evaluating it alone, and
+    ``u_qubit`` and ``values`` are bit-identical with and without
+    ``want_grad``.
+
+    The derivative of an integral is the change of its segment-i integral,
+    conjugated to the segment's start, plus the commutator of the tail
+    (the conjugated integrals of the later segments) with G_i.  In the
+    durations the change is the integrand at the segment's end, and the
+    delay of every later segment adds ``i k omega`` times the tail (and, for
+    a trap kind, the tail of its moment-0 partner).
     """
     if wrt not in ("phases", "durations"):
         raise ValueError(f"wrt must be 'phases' or 'durations', got {wrt!r}")
@@ -259,56 +240,57 @@ def evaluate_controls(
     ends = np.cumsum(durations)
     starts = np.concatenate(([0.0], ends))[: len(durations)]
     rate = kappa * rabi
-    _, d_stack, w = _segment_propagators(phases, durations, rate)
-    wpre = w[..., :-1, :, :]
-    wpost = w[..., 1:, :, :]
-    u_qubit = w[..., -1, :, :]
+    half = 0.5 * rate * durations
+    e = np.exp(1j * phases)
+    alpha, beta = _prefix_products(e, half)
+    a, b = alpha[..., -1], beta[..., -1]
+    u_qubit = _matrices(a, -b.conj(), b, a.conj())
 
-    def conjugated_terms(kind):
-        s, ds = _segment_terms(
-            kind, phases, durations, starts, rabi, omega, rate, by_phase
-        )
-        return np.einsum(_SANDWICH, wpre.conj(), s, wpre), ds
-
-    values: dict[str, np.ndarray] = {}
-    grads: dict[str, np.ndarray] = {}
-    qubit_grad = None
+    own = list(dict.fromkeys(ALIASES.get(name, name) for name in kinds))
+    slots = {name: own.index(ALIASES.get(name, name)) for name in own + list(kinds)}
+    partners = [_MOMENT0[kind] for kind in own if by_duration and kind in _MOMENT0]
+    integrated = list(dict.fromkeys(own + partners))
+    rows = [
+        _segment_integral(kind, durations, starts, rabi, omega, rate)
+        for kind in integrated
+    ]
     if by_phase:
-        qubit_grad = np.einsum(_SANDWICH, wpost.conj(), d_stack, wpre)
+        # G_i = W_i^dag (P_i^dag dP_i/dphi_i) W_i, and d/dphi_i of each integral
+        sa, ca = np.sin(half), np.cos(half)
+        rows.append(np.array([1j * sa * sa, -sa * ca, sa * ca]))
+        rows += [row * [[0], [-1j], [1j]] for row in rows[: len(own)]]
     elif by_duration:
-        # dP_i/dtau_i = -i kappa drive_i P_i, carried to the end of the pulse
-        drive = 0.5 * rabi * _pauli_plane(np.cos(phases), np.sin(phases))
-        qubit_grad = np.einsum(_SANDWICH, wpost.conj(), -1j * kappa * drive, wpost)
+        # dP_i/dtau_i = -i kappa drive_i P_i, then the integrand at the segment's end
+        drive = np.full(len(durations), -0.5j * kappa * rabi)
+        rows.append(np.array([np.zeros_like(drive), drive, drive]))
+        cos, sin = np.cos(2 * half), np.sin(2 * half)
+        for kind in own:
+            k, moment = CONSTRAINT_KINDS[kind]
+            edge = np.exp(1j * k * omega * ends) * ends**moment
+            rows.append(_components(kind, 0.5 * rabi, edge, edge * cos, edge * sin))
+    stack = np.reshape(rows, (len(rows), 3, len(durations)))
+    t = _conjugated(alpha[..., :-1], beta[..., :-1], e, stack)
 
-    for name in kinds:
-        kind = ALIASES.get(name, name)
-        if kind in values:
-            values[name] = values[kind]
-            if want_grad:
-                grads[name] = grads[kind]
-            continue
-        terms, ds = conjugated_terms(kind)
-        total = terms.sum(axis=-3)
-        values[kind] = total
-        values[name] = total
-        if by_phase:
-            tails = _tails(terms)
-            dv = np.einsum(_SANDWICH, wpre.conj(), ds, wpre)
-            dv += np.einsum("...nmi,...nml->...nil", qubit_grad.conj(), tails)
-            dv += np.einsum("...nim,...nml->...nil", tails, qubit_grad)
-        elif by_duration:
-            tails0 = None
+    count = len(integrated)
+    totals = t[..., :count, :].sum(axis=-1)
+    matrices = _matrices(totals[0], totals[1], totals[2], -totals[0])
+    values = {name: matrices[..., j, :, :] for name, j in slots.items()}
+    if not want_grad:
+        return u_qubit, values
+
+    g = t[..., count, :]
+    tails = totals[..., None] - np.cumsum(t[..., :count, :], axis=-1)
+    own_tails = tails[..., : len(own), :]
+    dv = t[..., count + 1 :, :] + _commutator(own_tails, g[..., None, :])
+    if by_duration:
+        harmonics = np.array([CONSTRAINT_KINDS[kind][0] for kind in own])[:, None]
+        dv += 1j * omega * harmonics * own_tails
+        for j, kind in enumerate(own):
             if kind in _MOMENT0:
-                tails0 = _tails(conjugated_terms(_MOMENT0[kind])[0])
-            dv = _duration_derivative(
-                kind, _tails(terms), tails0, wpost, qubit_grad, phases, ends, rabi, omega
-            )
-        if want_grad:
-            grads[kind] = dv
-            grads[name] = dv
-    if want_grad:
-        return u_qubit, values, qubit_grad, grads
-    return u_qubit, values
+                dv[..., j, :] += tails[..., integrated.index(_MOMENT0[kind]), :]
+    derivatives = _matrices(dv[0], dv[1], dv[2], -dv[0])
+    grads = {name: derivatives[..., j, :, :, :] for name, j in slots.items()}
+    return u_qubit, values, _matrices(g[0], g[1], g[2], -g[0]), grads
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from mipulse.model import SystemParams
@@ -17,7 +19,7 @@ from mipulse.toggling import (
     robust_qubit_predict,
     toggle_integrals,
 )
-from oracles import bang_closed_form
+from oracles import bang_closed_form, controls_by_matmul
 
 RABI = 2 * math.pi * 20e3
 ETA = 0.2156
@@ -324,3 +326,64 @@ def test_duration_derivatives_match_central_differences(rng, omega):
 def test_derivative_variable_is_checked():
     with pytest.raises(ValueError):
         evaluate_controls([0.0], [1.0], 1.0, 0.0, 1.0, ("entangle",), True, wrt="rabi")
+
+
+ALL_KINDS = tuple(CONSTRAINT_KINDS) + ("rabi",)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    n=st.integers(0, 200),
+    stack=st.sampled_from([(), (2,), (2, 3)]),
+    kinds=st.lists(st.sampled_from(ALL_KINDS), unique=True, max_size=len(ALL_KINDS)),
+    wrt=st.sampled_from(["phases", "durations"]),
+    want_grad=st.booleans(),
+    omega=st.sampled_from([0.0, 3.7, 11.3]),
+    kappa=st.sampled_from([1.0, 0.977, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, stack=(), kinds=list(ALL_KINDS), wrt="durations", want_grad=True,
+         omega=3.7, kappa=0.977, seed=0)
+@example(n=1, stack=(2,), kinds=list(ALL_KINDS), wrt="phases", want_grad=True,
+         omega=0.0, kappa=0.977, seed=1)
+@example(n=2, stack=(), kinds=["trap2", "trap1", "rabi"], wrt="durations", want_grad=True,
+         omega=3.7, kappa=0.9, seed=2)
+@example(n=200, stack=(2,), kinds=list(ALL_KINDS), wrt="durations", want_grad=True,
+         omega=11.3, kappa=0.977, seed=3)
+@example(n=5, stack=(2,), kinds=[], wrt="durations", want_grad=True,
+         omega=3.7, kappa=0.977, seed=4)
+def test_segment_kernel_matches_matmul_oracle(n, stack, kinds, wrt, want_grad, omega, kappa, seed):
+    # the SU(2) kernel against per-segment matmul products and full 2x2
+    # conjugations, entry by entry within 1e-13 of each array's largest entry
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, stack + (n,))
+    durations = rng.uniform(0.01, 0.6, n)
+    args = (phases, durations, 1.3, omega, kappa, tuple(kinds), want_grad, wrt)
+    kernel, oracle = evaluate_controls(*args), controls_by_matmul(*args)
+    assert len(kernel) == len(oracle)
+    for got, want in zip(kernel, oracle):
+        if isinstance(want, dict):
+            assert got.keys() == want.keys()
+            pairs = [(got[name], want[name]) for name in want]
+        else:
+            pairs = [(got, want)]
+        for g, w in pairs:
+            assert g.shape == w.shape
+            assert np.abs(g - w).max(initial=0.0) <= 1e-13 * np.abs(w).max(initial=0.0)
+
+
+@pytest.mark.parametrize("wrt", ["phases", "durations"])
+def test_values_do_not_depend_on_want_grad(rng, wrt):
+    # the bang-bang solver reads its residuals from the evaluation that also
+    # gives the Jacobian, so they must be the same bits as without it
+    for n in (0, 1, 9, 64, 81, 200):
+        phases = rng.uniform(-math.pi, math.pi, (3, n))
+        durations = rng.uniform(0.05, 0.3, n)
+        plain = evaluate_controls(phases, durations, 1.0, 3.7, 0.98, ALL_KINDS)
+        full = evaluate_controls(
+            phases, durations, 1.0, 3.7, 0.98, ALL_KINDS, want_grad=True, wrt=wrt
+        )
+        np.testing.assert_array_equal(full[0], plain[0])
+        assert full[1].keys() == plain[1].keys()
+        for name in plain[1]:
+            np.testing.assert_array_equal(full[1][name], plain[1][name])
