@@ -1,18 +1,18 @@
 """Solvers for recoil-free bang-bang pulse angles.
 
 For x-axis bang-bang pulses the recoil-free control problem collapses to a
-small nonlinear system in the rotation angles.  At first order the
-three-angle palindrome must satisfy one linear equation (the net rotation
-reaches the target) plus two trigonometric equations equivalent to a
-vanishing first-harmonic recoil integral, solved by Newton's method with
-its exact Jacobian (sums of cosines).  The second-order five-angle
-constraints leave a curve of solutions.  Its search is deterministic: a
-fixed lattice of starts is projected onto the curve by bounded least
-squares of the exact constraint integrals, with the exact Jacobian in the
-segment durations from :func:`~mipulse.toggling.evaluate_controls` folded
-onto the five angles, and the lowest projections slide along the curve to
-the least pulse area, stopping exactly on an angle bound when the minimum
-lies there.
+small nonlinear system in the rotation angles, and both searches are
+deterministic.  At first order the three-angle palindrome must satisfy one
+linear equation (the net rotation reaches the target) plus two
+trigonometric equations equivalent to a vanishing first-harmonic recoil
+integral, solved by Newton's method with its exact Jacobian (sums of
+cosines) from fixed lattices of starts.  The second-order five-angle
+constraints leave a curve of solutions.  A fixed lattice of starts is
+projected onto the curve by bounded least squares of the exact constraint
+integrals, with the exact Jacobian in the segment durations from
+:func:`~mipulse.toggling.evaluate_controls` folded onto the five angles,
+and the lowest projections slide along the curve to the least pulse area,
+stopping exactly on an angle bound when the minimum lies there.
 
 Solutions are never returned unverified: every candidate is re-checked
 against the residual system and the minimal-duration branch is selected.
@@ -190,19 +190,17 @@ def _verify_first(
     )
 
 
-def solve_first_order(
-    ratio: float,
-    theta_tar: float,
-    restarts: int = 16,
-    seed: int = 0,
-) -> BangSolution:
+def solve_first_order(ratio: float, theta_tar: float) -> BangSolution:
     """Minimal-duration three-angle solution at the given frequency ratio.
 
-    Start points combine a continuation path from the large-ratio
-    asymptote (small flip angles, theta3 -> target) with ``restarts``
-    random initializations; the constant-pulse corner (0, 0, target) is
-    probed directly since it is the exact solution whenever it satisfies
-    the system.  Raises :class:`SolverError` if nothing converges.
+    The search is deterministic.  Newton's method starts from a 6x6
+    lattice over the physical angle box and from two 4x4 lattices of
+    (theta1, theta2) at cell centres, over ``[0, pi/2]^2`` and over
+    ``[0, min(pi/2, 10/ratio)]^2``, since the basins shrink as 1/ratio
+    (plus a denser grid at ratios above 8); the constant-pulse corner
+    (0, 0, target) is probed directly since it is the exact solution
+    whenever it satisfies the system.  Raises :class:`SolverError` if
+    nothing converges.
     """
     if not ratio > MIN_RATIO:
         raise ValueError(f"ratio must exceed {MIN_RATIO}, got {ratio}")
@@ -218,20 +216,13 @@ def solve_first_order(
     jac = lambda x: _reduced_jacobian(x, ratio, theta_tar)
     candidates: list[np.ndarray] = []
 
-    # deterministic lattice over the physical angle box; basin widths
-    # shrink as 1/ratio, so this covers moderate ratios reliably
+    # the 6x6 lattice covers moderate ratios; basin widths shrink as 1/ratio
     lattice = np.linspace(0.02, 1.45, 6)
     candidates.extend(np.array([a, b]) for a in lattice for b in lattice)
-
-    rng = np.random.default_rng(seed)
-    # half the restarts explore broadly; the residual oscillation period
-    # shrinks as 1/ratio, so the other half sample a basin-sized box near
-    # the large-ratio asymptote (small flip angles)
-    box = min(0.5 * math.pi, 10.0 / ratio)
-    for _ in range(max(1, restarts // 2)):
-        candidates.append(rng.uniform(0.0, 0.5 * math.pi, size=2))
-    for _ in range(max(1, restarts - restarts // 2)):
-        candidates.append(rng.uniform(0.0, box, size=2))
+    # one 4x4 lattice when 10 / ratio does not cap the box
+    for width in dict.fromkeys((0.5 * math.pi, min(0.5 * math.pi, 10.0 / ratio))):
+        centres = (np.arange(4) + 0.5) * width / 4
+        candidates.extend(np.array([a, b]) for a in centres for b in centres)
 
     if ratio > 8.0:
         # short solutions at large ratios keep theta2 ~ 1/ratio small but

@@ -85,7 +85,7 @@ def _cmd_design_bang(args, order: str) -> int:
     ratio = args.omega_hz / args.rabi_hz
     theta = math.radians(args.theta)
     if order == "first":
-        solution = solve_first_order(ratio, theta, seed=args.seed)
+        solution = solve_first_order(ratio, theta)
         kind = "recoil-free"
     else:
         solution = solve_second_order(ratio, theta, args.eta)
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target axis in the equatorial plane, degrees")
         p.add_argument("--seed", type=int, default=0,
                        help="random seed of the search, recorded in the sidecar; "
-                            "design-torf2's search is deterministic and ignores it")
+                            "the bang-bang searches (design-torf, design-torf2) "
+                            "are deterministic and ignore it")
         p.add_argument("--out", required=True, help="output pulse file")
 
     for name, order in (("design-torf", "first"), ("design-torf2", "second")):

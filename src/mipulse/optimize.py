@@ -6,10 +6,11 @@ toggling-frame integrals vanishes at the final time.  The cost is
 
     (1 - |Tr(U_tar^dag Uq)|^2 / 4) + sum_c w_c ||V_c(T)||_F^2
 
-with exact adjoint-style gradients from the closed-form segment algebra;
-finite differences are kept only as a test oracle.  A quasi-Newton descent
-(L-BFGS-B) takes each restart into the convergence basin and a bounded
-least-squares polish drives the residuals to machine level.
+with exact gradients from the closed-form segment algebra; finite
+differences are kept only as a test oracle.  A quasi-Newton descent
+(L-BFGS-B) takes each restart into the convergence basin and a
+least-squares polish, whose exact Jacobian comes from the same phase
+gradient, drives the residuals to machine level.
 
 Problem presets map onto the four control problems this package targets:
 ``recoil`` (first-harmonic integral only, first-order dynamics),
@@ -61,10 +62,6 @@ SEGMENTS_PER_PI = 40
 
 #: Outer search gives up beyond this multiple of the target angle.
 AREA_CEILING_FACTOR = 20.0
-
-#: Most Jacobian columns evaluated together; larger stacks only hold more memory.
-_COLUMN_STACK = 16
-
 
 class OptimizeFailure(RuntimeError):
     """Raised when the minimum-time search exhausts its area ceiling."""
@@ -203,31 +200,41 @@ def _metrics(phases: np.ndarray, problem: ControlProblem, area: float):
 
 
 def _residual_vector(phases: np.ndarray, problem: ControlProblem, area: float):
-    """Phase-aligned residuals for the least-squares polish (leading axes of
-    ``phases`` stack profiles, as in :func:`evaluate_controls`)."""
+    """Phase-aligned residuals for the least-squares polish: the entries of
+    ``Uq - alpha U_tar`` with ``alpha = o / |o|``, ``o = Tr(U_tar^dag Uq) / 2``,
+    then the weighted constraint integrals; real parts, then imaginary parts."""
     u_tar = problem.target.unitary
     u_qubit, values = _evaluate(phases, problem, area, grad=False)
-    overlap = np.trace(u_tar.conj().T @ u_qubit, axis1=-2, axis2=-1) / 2
-    size = np.abs(overlap)
-    alignment = np.where(size > 1e-9, overlap / np.maximum(size, 1e-9), 1.0)
-    parts = [u_qubit - alignment[..., None, None] * u_tar]
+    overlap = np.trace(u_tar.conj().T @ u_qubit) / 2
+    size = abs(overlap)
+    alignment = overlap / size if size > 1e-9 else 1.0
+    parts = [u_qubit - alignment * u_tar]
     parts += [math.sqrt(problem.weight(name)) * values[name] for name in problem.constraints]
-    flat = phases.shape[:-1] + (-1,)
-    stacked = np.concatenate([part.reshape(flat) for part in parts], axis=-1)
-    return np.concatenate([stacked.real, stacked.imag], axis=-1)
+    stacked = np.concatenate([part.ravel() for part in parts])
+    return np.concatenate([stacked.real, stacked.imag])
 
 
-def _residual_columns(problem: ControlProblem, area: float):
-    """Map-like ``workers`` for the polish's finite-difference Jacobian: the
-    perturbed profiles go through :func:`_residual_vector` in stacks, so the
-    segment product runs once per stack, not once per column.  The function
-    scipy passes is that same residual, so it is not called."""
-    def columns(_fun, profiles):
-        profiles = np.array(list(profiles))
-        stacks = np.array_split(profiles, -(-len(profiles) // _COLUMN_STACK))
-        return [row for stack in stacks for row in _residual_vector(stack, problem, area)]
+def _residual_jacobian(phases: np.ndarray, problem: ControlProblem, area: float):
+    """Exact Jacobian of :func:`_residual_vector`, from one gradient evaluation.
 
-    return columns
+    ``dUq/dphi_i = Uq G_i`` and the alignment turns with
+    ``dalpha_i = i alpha Im(conj(alpha) do_i) / |o|``; it is the constant 1
+    (so ``dalpha_i = 0``) where ``|o| <= 1e-9``.
+    """
+    u_tar = problem.target.unitary
+    u_qubit, _, qubit_grad, grads = _evaluate(phases, problem, area, grad=True)
+    target_rows = u_qubit @ qubit_grad
+    overlap = np.trace(u_tar.conj().T @ u_qubit) / 2
+    size = abs(overlap)
+    if size > 1e-9:
+        alignment = overlap / size
+        d_overlap = np.trace(u_tar.conj().T @ target_rows, axis1=-2, axis2=-1) / 2
+        d_alignment = 1j * alignment * np.imag(np.conj(alignment) * d_overlap) / size
+        target_rows = target_rows - d_alignment[:, None, None] * u_tar
+    parts = [target_rows]
+    parts += [math.sqrt(problem.weight(name)) * grads[name] for name in problem.constraints]
+    stacked = np.concatenate([part.reshape(len(phases), -1) for part in parts], axis=1).T
+    return np.concatenate([stacked.real, stacked.imag])
 
 
 def _is_converged(defect: float, norms: dict) -> bool:
@@ -264,12 +271,12 @@ def _attempt(
             polish = least_squares(
                 lambda p: _residual_vector(p, weighted, area),
                 x,
+                jac=lambda p: _residual_jacobian(p, weighted, area),
                 method="trf",
                 xtol=1e-15,
                 ftol=1e-15,
                 gtol=1e-15,
                 max_nfev=60 * (len(x) + 1),
-                workers=_residual_columns(weighted, area),
             )
             if np.linalg.norm(polish.fun) < np.linalg.norm(
                 _residual_vector(x, weighted, area)

@@ -86,7 +86,7 @@ def _run(points, worker, jobs):
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [worker(p) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(jobs) as pool:
         return list(pool.map(worker, points))
 
 

@@ -102,6 +102,19 @@ def probe_fidelity(operator: np.ndarray, target_unitary: np.ndarray, m: int) -> 
     return float(np.mean(np.abs(overlaps) ** 2))
 
 
+def central_differences(func, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference derivative of ``func`` at ``x``, one column per
+    coordinate: the gradient of a scalar function, the Jacobian of a vector
+    one."""
+    columns = []
+    for j in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[j] += step
+        down[j] -= step
+        columns.append((func(up) - func(down)) / (2 * step))
+    return np.stack(columns, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # segment algebra as stacked 2x2 matrices, one segment after another
 

@@ -18,6 +18,7 @@ from mipulse.fidelity import GateTarget, thermal_fidelity
 from mipulse.model import SystemParams
 from mipulse.propagate import evolve
 from mipulse.pulse import PulseProgram, make_torf
+from oracles import central_differences
 
 RABI = 2 * math.pi * 20e3
 ETA = 0.2156
@@ -171,22 +172,12 @@ def test_duration_curve_records_failures():
     assert rows[1][2] == "ok"
 
 
-def central_jacobian(func, x, step=1e-6):
-    columns = []
-    for j in range(len(x)):
-        up, down = x.copy(), x.copy()
-        up[j] += step
-        down[j] -= step
-        columns.append((func(up) - func(down)) / (2 * step))
-    return np.stack(columns, axis=1)
-
-
 def test_first_order_jacobian_matches_central_differences(rng):
     for _ in range(50):
         x = rng.uniform(0.0, 1.5, 2)
         ratio, theta = rng.uniform(1.6, 20.0), rng.uniform(0.1, math.pi)
         exact = _reduced_jacobian(x, ratio, theta)
-        numeric = central_jacobian(lambda y: _reduced(y, ratio, theta), x)
+        numeric = central_differences(lambda y: _reduced(y, ratio, theta), x)
         assert np.abs(exact - numeric).max() < 1e-8 * max(1.0, np.abs(exact).max())
 
 
@@ -197,7 +188,7 @@ def test_second_order_jacobian_matches_central_differences(rng):
         ratio, theta = rng.uniform(1.6, 9.0), rng.uniform(0.2, math.pi)
         kappa = rng.uniform(0.95, 1.0)
         exact = _second_order_jacobian(x, ratio, kappa)
-        numeric = central_jacobian(
+        numeric = central_differences(
             lambda y: _second_order_residuals(y, ratio, theta, kappa), x
         )
         assert exact.shape == (24, 5)

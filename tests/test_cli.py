@@ -56,6 +56,18 @@ def test_design_torf2_independent_of_seed(tmp_path):
     assert abs(sidecar["result"]["pulse_area_rad"] - 2.1214477756080843) <= 1e-12
 
 
+def test_design_torf_independent_of_seed(tmp_path):
+    # the search ignores --seed; at ratio 5.16087 a solution 76% longer
+    # (0.507249 pi) lies close by
+    outs = [tmp_path / f"torf_{seed}.json" for seed in (0, 1, 3)]
+    for seed, out in zip((0, 1, 3), outs):
+        assert main(["design-torf", "--theta", "10", "--omega-hz", "103217.4",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    sidecar = json.loads((tmp_path / "torf_0.json.meta.json").read_text())
+    assert abs(sidecar["result"]["pulse_area_rad"] / math.pi - 0.28809724305616) <= 1e-9
+
+
 def test_design_torf2_bound_minimum_drops_segments(tmp_path):
     # theta5 = 0 exactly, so the middle segment vanishes and its neighbours merge
     out = tmp_path / "torf2.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mipulse.fidelity import GateTarget
 from mipulse.optimize import (
     PRESETS,
-    _residual_columns,
+    _residual_jacobian,
     _residual_vector,
     composite_reference,
     control_problem,
@@ -14,22 +15,10 @@ from mipulse.optimize import (
     min_time_search,
     solve_fixed_duration,
 )
+from oracles import central_differences
 
 RABI = 2 * math.pi * 20e3
 ETA = 0.2156
-
-
-def finite_difference_gradient(phases, problem, duration, step=1e-6):
-    grad = np.zeros(len(phases))
-    for i in range(len(phases)):
-        up, down = phases.copy(), phases.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (
-            cost_and_gradient(up, problem, duration, RABI)[0]
-            - cost_and_gradient(down, problem, duration, RABI)[0]
-        ) / (2 * step)
-    return grad
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -42,7 +31,9 @@ def test_gradient_matches_central_differences(preset, rng):
     duration = 1.4 * math.pi / RABI
     phases = rng.uniform(-math.pi, math.pi, n)
     _, analytic = cost_and_gradient(phases, problem, duration, RABI)
-    numeric = finite_difference_gradient(phases, problem, duration)
+    numeric = central_differences(
+        lambda p: cost_and_gradient(p, problem, duration, RABI)[0], phases
+    )
     scale = np.maximum(np.abs(numeric), np.abs(analytic))
     rel = np.abs(analytic - numeric) / np.maximum(scale, 1e-6 * scale.max())
     assert rel.max() < 1e-5
@@ -164,14 +155,20 @@ def test_result_reports_norms_and_iterations():
     assert result.pulse.duration == pytest.approx(math.pi / RABI)
 
 
+@pytest.mark.parametrize("ratio", [5.0, math.inf])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_residual_columns_match_single_profiles(preset, rng):
-    problem = control_problem(preset, GateTarget(math.pi / 2), ratio=5.0, eta=ETA)
-    profiles = rng.uniform(-math.pi, math.pi, (40, 30))
-    columns = _residual_columns(problem, 4.0)(None, iter(profiles))
-    assert len(columns) == len(profiles)
-    for column, phases in zip(columns, profiles):
-        np.testing.assert_array_equal(column, _residual_vector(phases, problem, 4.0))
+def test_polish_jacobian_matches_central_differences(preset, ratio, rng):
+    problem = control_problem(
+        preset, GateTarget(math.pi / 2, 0.3), ratio, eta=ETA,
+        extra_constraints=("trap1", "trap2") if preset == "robust" else (),
+    )
+    # a raised weight, as the polish's reweighting sets it
+    problem = replace(problem, weights={name: 7.0 for name in problem.constraints[-1:]})
+    phases = rng.uniform(-math.pi, math.pi, 12)
+    exact = _residual_jacobian(phases, problem, 4.4)
+    numeric = central_differences(lambda p: _residual_vector(p, problem, 4.4), phases)
+    assert exact.shape == numeric.shape == (8 * (len(problem.constraints) + 1), 12)
+    assert np.abs(exact - numeric).max() < 1e-8 * np.abs(exact).max()
 
 
 def test_control_problem_rejects_nan_ratio():
