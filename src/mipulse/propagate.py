@@ -4,8 +4,18 @@ The phase is piecewise constant by construction, so the evolution operator
 is the ordered product of per-segment matrix exponentials; no ODE stepping
 and no time-discretization error anywhere.  In the qubit-slow basis every
 model obeys ``H(phase) = R H(0) R^dag`` with the diagonal frame
-``R = diag(1_g, e^{i phase} 1_e)``, so one eigendecomposition of ``H(0)``
-serves every segment of every phase.
+``R = diag(1_g, e^{i phase} 1_e)``, so one eigendecomposition
+``H(0) = V diag(lam) V^dag`` serves every segment of every phase.
+
+:func:`evolve` steps in that eigenbasis.  With ``D_k = diag(e^{-i lam tau_k})``
+the product of segments 1..n is ``U = (R_n V) A_n`` where
+
+    A_1 = D_1 V^dag R_1^dag,    A_k = D_k (A_{k-1} + c_k P A_{k-1}),
+
+``c_k = e^{-i(phase_k - phase_{k-1})} - 1`` and ``P = V_e^dag V_e`` is the
+projector onto the excited block (``V_e`` the excited rows of ``V``), since
+``V^dag R_k^dag R_{k-1} V = I + c_k P``.  A phase jump is a projector update,
+so each segment costs one matrix product.
 """
 
 from __future__ import annotations
@@ -43,19 +53,30 @@ class Propagation:
 def evolve(params: SystemParams, pulse: PulseProgram, model: str = "full") -> Propagation:
     """Propagate ``pulse`` under the chosen Hamiltonian model.
 
-    The product is time ordered with the earliest segment rightmost.  The
+    The product is time ordered with the earliest segment rightmost.  It is
+    accumulated in the eigenbasis of ``H(0)`` by the recurrence of the module
+    docstring: one ``eigh`` per call and one matrix product per segment
+    (``P A_{k-1}``), plus the final change of basis ``(R_n V) A_n``.  The
     result is checked against the unitarity budget (1e-10 Frobenius) and a
     violation, or a non-finite operator, raises ``ArithmeticError``.
     """
     vals, vecs = np.linalg.eigh(hamiltonian(params, 0.0, model))
-    frame = np.ones(params.dim, dtype=complex)
-    total = np.eye(params.dim, dtype=complex)
-    for duration, phase in pulse.segments:
-        # H(phase) = R H(0) R^dag has the eigenvectors R @ vecs
-        frame[params.truncation + 1 :] = np.exp(1j * phase)
-        rotated = frame[:, None] * vecs
-        step = (rotated * np.exp(-1j * vals * duration)) @ rotated.conj().T
-        total = step @ total
+    excited = slice(params.truncation + 1, None)
+    if pulse.segments:
+        durations, phases = np.array(pulse.segments).T
+        decays = np.exp(-1j * np.multiply.outer(durations, vals))
+        frame = np.ones(params.dim, dtype=complex)
+        frame[excited] = np.exp(-1j * phases[0])
+        state = np.multiply.outer(decays[0], frame) * vecs.conj().T
+        if len(phases) > 1:
+            proj = vecs[excited].conj().T @ vecs[excited]
+            jumps = np.expm1(-1j * np.diff(phases))
+            for decay, jump in zip(decays[1:], jumps):
+                state = decay[:, None] * (state + jump * (proj @ state))
+        frame[excited] = np.exp(1j * phases[-1])
+        total = (frame[:, None] * vecs) @ state
+    else:
+        total = np.eye(params.dim, dtype=complex)
     defect = unitarity_defect(total)
     if not defect <= UNITARITY_TOL:
         raise ArithmeticError(

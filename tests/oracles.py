@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from mipulse.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
+from mipulse.model import SystemParams, hamiltonian
+from mipulse.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian
 from mipulse.propagate import su2_rotation
-from mipulse.pulse import BangAngles
+from mipulse.pulse import BangAngles, PulseProgram
 from mipulse.toggling import (
     ALIASES,
     CONSTRAINT_KINDS,
@@ -78,6 +79,19 @@ def bang_closed_form(
         rabi_dev=entangle,
         ratio=ratio,
     )
+
+
+def evolve_by_expm(params: SystemParams, pulse: PulseProgram, model: str) -> np.ndarray:
+    """Propagator of a pulse as the product of a fresh exponential per segment.
+
+    Each segment builds ``H(phase)`` and exponentiates it on its own, with no
+    shared eigenbasis and no phase frame: the reference route for
+    :func:`~mipulse.propagate.evolve`.
+    """
+    total = np.eye(params.dim, dtype=complex)
+    for duration, phase in pulse.segments:
+        total = expm_hermitian(hamiltonian(params, phase, model), duration) @ total
+    return total
 
 
 def probe_states(m: int, dim_m: int) -> np.ndarray:

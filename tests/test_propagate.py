@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipulse.fidelity import GateTarget, thermal_fidelity
-from mipulse.model import SystemParams, hamiltonian
-from mipulse.operators import SIGMA_X, expm_hermitian, unitarity_defect
+from mipulse.model import MODELS, SystemParams, hamiltonian
+from mipulse.operators import SIGMA_X, unitarity_defect
 from mipulse.propagate import evolve, evolve_qubit, su2_rotation
-from mipulse.pulse import BangAngles, PulseProgram, make_constant, make_sampled, make_torf
+from mipulse.pulse import (
+    BangAngles,
+    PulseProgram,
+    make_constant,
+    make_sampled,
+    make_torf,
+    shift_axis,
+)
+from oracles import evolve_by_expm
 
 RABI = 2 * math.pi * 20e3
 ETA = 0.2156
@@ -99,24 +109,103 @@ def test_evolve_qubit_corrected_flip():
     assert np.abs(u + 1j * SIGMA_X).max() < 1e-12
 
 
+EMPTY = PulseProgram(rabi=RABI, segments=())
+
+
 def test_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        evolve(params_with(), make_constant(1.0, RABI), "bogus")
+    # H(0) is built before any segment, so an empty pulse is rejected too
+    for pulse in (make_constant(1.0, RABI), EMPTY):
+        with pytest.raises(ValueError):
+            evolve(params_with(), pulse, "bogus")
 
 
-@pytest.mark.parametrize("model", ["full", "lamb_dicke", "second_order"])
+@pytest.mark.parametrize("model", MODELS)
 def test_evolve_matches_per_segment_exponentials(model, rng):
-    # one eigensystem in the phase frame against a fresh exponential per segment
-    p = params_with(truncation=10, delta_detuning=0.04 * RABI, delta_rabi=0.03 * RABI)
-    segments = tuple(zip(rng.uniform(0.5e-6, 4e-6, 24), rng.uniform(-math.pi, math.pi, 24)))
-    expected = np.eye(p.dim, dtype=complex)
-    for duration, phase in segments:
-        expected = expm_hermitian(hamiltonian(p, phase, model), duration) @ expected
-    u = evolve(p, PulseProgram(rabi=RABI, segments=segments), model).operator
-    assert np.abs(u - expected).max() < 1e-11
+    # the eigenbasis recurrence against a fresh exponential per segment
+    p = params_with(delta_detuning=0.04 * RABI, delta_rabi=0.03 * RABI)
+    durations = rng.uniform(0.5e-6, 4e-6, 150)
+    phases = rng.uniform(-math.pi, math.pi, 150)
+    cases = {
+        "empty": (),
+        "one": ((durations[0], phases[0]),),
+        "random": tuple(zip(durations, phases)),
+        # c_k = 0 exactly: no phase jump between segments
+        "repeated": tuple((d, 0.7) for d in durations[:12]),
+        # jumps of 2 pi before wrapping, and of nearly 2 pi across the branch cut
+        "two_pi": tuple(zip(durations[:12], 0.3 + 2 * math.pi * np.arange(12))),
+        "branch_cut": tuple(zip(durations[:12], [math.pi, -math.pi + 1e-9] * 6)),
+    }
+    for name, segments in cases.items():
+        pulse = PulseProgram(rabi=RABI, segments=segments)
+        u = evolve(p, pulse, model).operator
+        assert np.abs(u - evolve_by_expm(p, pulse, model)).max() < 1e-11, name
 
 
 def test_non_finite_unitarity_defect_rejected(monkeypatch):
     monkeypatch.setattr("mipulse.propagate.unitarity_defect", lambda u: math.nan)
-    with pytest.raises(ArithmeticError):
-        evolve(params_with(truncation=3), make_constant(1.0, RABI), "full")
+    for pulse in (make_constant(1.0, RABI), EMPTY, make_torf(BangAngles(0.3, 0.1, 0.9), RABI)):
+        with pytest.raises(ArithmeticError):
+            evolve(params_with(truncation=3), pulse, "full")
+
+
+def test_one_eigh_per_evolve(monkeypatch):
+    # perfbench/spans.py counts numpy.linalg.eigh calls by name: one of H(0)
+    # per evolve, on top of those made by building H(0) once (the full model
+    # exponentiates its displacement operator)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    p = params_with(truncation=4)
+    pulses = [EMPTY] + [make_sampled(np.linspace(-3, 3, n), 1e-6, RABI) for n in (1, 2, 30)]
+    for model in MODELS:
+        calls.clear()
+        hamiltonian(p, 0.0, model)
+        build = len(calls)
+        for pulse in pulses:
+            calls.clear()
+            evolve(p, pulse, model)
+            assert calls.count((p.dim, p.dim)) == 1, (model, len(pulse.segments))
+            assert len(calls) == build + 1, (model, len(pulse.segments))
+
+
+SEGMENTS = st.lists(
+    st.tuples(st.floats(0.1e-6, 20e-6), st.floats(-math.pi, math.pi)), max_size=5
+)
+SYSTEMS = st.builds(
+    params_with,
+    truncation=st.integers(1, 8),
+    delta_detuning=st.floats(-0.1 * RABI, 0.1 * RABI),
+    delta_rabi=st.floats(-0.1 * RABI, 0.1 * RABI),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(p=SYSTEMS, model=st.sampled_from(MODELS), first=SEGMENTS, second=SEGMENTS)
+def test_concatenation_composes(p, model, first, second):
+    # evolve(a ++ b) = evolve(b) @ evolve(a)
+    a = PulseProgram(rabi=RABI, segments=tuple(first))
+    b = PulseProgram(rabi=RABI, segments=tuple(second))
+    joined = PulseProgram(rabi=RABI, segments=a.segments + b.segments)
+    u = evolve(p, joined, model).operator
+    assert np.abs(u - evolve(p, b, model).operator @ evolve(p, a, model).operator).max() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    p=SYSTEMS,
+    model=st.sampled_from(MODELS),
+    segments=SEGMENTS,
+    chi=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_phase_frame_covariance(p, model, segments, chi):
+    # adding chi to every phase conjugates U by R_chi = diag(1_g, e^{i chi} 1_e)
+    pulse = PulseProgram(rabi=RABI, segments=tuple(segments))
+    frame = np.exp(1j * chi * np.repeat([0.0, 1.0], p.truncation + 1))
+    u = evolve(p, pulse, model).operator
+    shifted = evolve(p, shift_axis(pulse, chi), model).operator
+    assert np.abs(shifted - frame[:, None] * u * frame.conj()).max() < 1e-12
