@@ -434,6 +434,8 @@ def solve_second_order(ratio: float, theta_tar: float, eta: float) -> BangSoluti
         raise ValueError(f"ratio must exceed {MIN_RATIO}, got {ratio}")
     if not 0 < theta_tar <= math.pi:
         raise ValueError(f"theta_tar must be in (0, pi], got {theta_tar}")
+    if not 0 <= eta < 1:
+        raise ValueError(f"eta must be in [0, 1), got {eta}")
     kappa = 1 - 0.5 * eta**2
     target_net = theta_tar / kappa
 

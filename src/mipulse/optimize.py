@@ -4,13 +4,13 @@ A control problem asks for a piecewise-constant phase profile whose
 ideal-qubit propagator reaches the target rotation while a chosen set of
 toggling-frame integrals vanishes at the final time.  The cost is
 
-    (1 - |Tr(U_tar^dag Uq)|^2 / 4) + sum_c w_c ||V_c(T)||_F^2
+    (1 - |Tr(U_tar^dag Uq)|^2 / 4) + sum_c ||V_c(T)||_F^2
 
 with exact gradients from the closed-form segment algebra; finite
-differences are kept only as a test oracle.  A quasi-Newton descent
-(L-BFGS-B) takes each restart into the convergence basin and a
+differences are kept only as a test oracle.  Each restart is one
+quasi-Newton descent (L-BFGS-B) into the convergence basin and one
 least-squares polish, whose exact Jacobian comes from the same phase
-gradient, drives the residuals to machine level.
+gradient, to drive the residuals to machine level.
 
 Problem presets map onto the four control problems this package targets:
 ``recoil`` (first-harmonic integral only, first-order dynamics),
@@ -24,7 +24,7 @@ apply deep in the resolved sideband regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,14 +97,10 @@ class ControlProblem:
     eta: float = 0.0
     constraints: tuple[str, ...] = ()
     eta_correction: bool = True
-    weights: dict = field(default_factory=dict)
 
     @property
     def kappa(self) -> float:
         return 1 - 0.5 * self.eta**2 if self.eta_correction else 1.0
-
-    def weight(self, name: str) -> float:
-        return float(self.weights.get(name, 1.0))
 
 
 def control_problem(
@@ -117,6 +113,8 @@ def control_problem(
     """Build a named problem; infinite ratio drops the recoil constraints."""
     if math.isnan(ratio):
         raise ValueError("ratio must not be NaN")
+    if not 0 <= eta < 1:
+        raise ValueError(f"eta must be in [0, 1), got {eta}")
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {tuple(PRESETS)}")
     constraints = PRESETS[preset] + tuple(extra_constraints)
@@ -180,36 +178,41 @@ def cost_and_gradient(
     aligned = u_tar.conj().T @ u_qubit
     gradient = -np.real(np.conj(overlap) * np.einsum("ij,nji->n", aligned, qubit_grad))
     for name in problem.constraints:
-        weight = problem.weight(name)
         value = values[name]
-        cost += weight * float(np.sum(np.abs(value) ** 2))
-        gradient += weight * 2 * np.real(
-            np.einsum("ij,nij->n", value.conj(), grads[name])
-        )
+        cost += float(np.sum(np.abs(value) ** 2))
+        gradient += 2 * np.real(np.einsum("ij,nij->n", value.conj(), grads[name]))
     return float(cost), gradient
 
 
-def _metrics(phases: np.ndarray, problem: ControlProblem, area: float):
+def _score(phases: np.ndarray, problem: ControlProblem, area: float):
+    """Cost, target defect and constraint norms from one evaluation.
+
+    The cost adds the same terms in the same order as
+    :func:`cost_and_gradient`, so the two agree bit for bit.
+    """
     u_qubit, values = _evaluate(phases, problem, area, grad=False)
     overlap = np.trace(problem.target.unitary.conj().T @ u_qubit) / 2
     defect = 1 - abs(overlap) ** 2
+    cost = defect
+    for name in problem.constraints:
+        cost += float(np.sum(np.abs(values[name]) ** 2))
     norms = {
         name: float(np.linalg.norm(values[name])) for name in problem.constraints
     }
-    return float(defect), norms
+    return float(cost), float(defect), norms
 
 
 def _residual_vector(phases: np.ndarray, problem: ControlProblem, area: float):
     """Phase-aligned residuals for the least-squares polish: the entries of
     ``Uq - alpha U_tar`` with ``alpha = o / |o|``, ``o = Tr(U_tar^dag Uq) / 2``,
-    then the weighted constraint integrals; real parts, then imaginary parts."""
+    then the constraint integrals; real parts, then imaginary parts."""
     u_tar = problem.target.unitary
     u_qubit, values = _evaluate(phases, problem, area, grad=False)
     overlap = np.trace(u_tar.conj().T @ u_qubit) / 2
     size = abs(overlap)
     alignment = overlap / size if size > 1e-9 else 1.0
     parts = [u_qubit - alignment * u_tar]
-    parts += [math.sqrt(problem.weight(name)) * values[name] for name in problem.constraints]
+    parts += [values[name] for name in problem.constraints]
     stacked = np.concatenate([part.ravel() for part in parts])
     return np.concatenate([stacked.real, stacked.imag])
 
@@ -232,7 +235,7 @@ def _residual_jacobian(phases: np.ndarray, problem: ControlProblem, area: float)
         d_alignment = 1j * alignment * np.imag(np.conj(alignment) * d_overlap) / size
         target_rows = target_rows - d_alignment[:, None, None] * u_tar
     parts = [target_rows]
-    parts += [math.sqrt(problem.weight(name)) * grads[name] for name in problem.constraints]
+    parts += [grads[name] for name in problem.constraints]
     stacked = np.concatenate([part.reshape(len(phases), -1) for part in parts], axis=1).T
     return np.concatenate([stacked.real, stacked.imag])
 
@@ -248,53 +251,39 @@ def _attempt(
     problem: ControlProblem,
     area: float,
     maxiter: int,
-) -> tuple[np.ndarray, int]:
-    """Quasi-Newton descent, least-squares polish, adaptive reweighting.
+) -> tuple[np.ndarray, int, tuple[float, float, dict]]:
+    """One quasi-Newton descent, then one least-squares polish.
 
-    A constraint stalling above the convergence bound while the rest of
-    the problem is solved gets its weight raised tenfold (at most twice)
-    before re-descending from the current profile.
+    The polish runs when the cost at the descent's end is below 1e-6 and
+    is kept only if it lowers the residual norm.  That cost is evaluated
+    afresh rather than read from the descent's report, which can differ
+    from it in the last digits.  Returns the profile, the iterations
+    spent and the profile's :func:`_score`.
     """
-    x, iterations = np.asarray(x0, dtype=float), 0
-    weights = dict(problem.weights)
-    for _ in range(3):
-        weighted = replace(problem, weights=weights)
-        fit = minimize(
-            lambda p: cost_and_gradient(p, weighted, area, 1.0),
+    fit = minimize(
+        lambda p: cost_and_gradient(p, problem, area, 1.0),
+        np.asarray(x0, dtype=float),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": maxiter, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-12},
+    )
+    x, iterations = fit.x, fit.nit
+    score = _score(x, problem, area)
+    if score[0] < 1e-6:
+        polish = least_squares(
+            lambda p: _residual_vector(p, problem, area),
             x,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-12},
+            jac=lambda p: _residual_jacobian(p, problem, area),
+            method="trf",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+            max_nfev=60 * (len(x) + 1),
         )
-        x, iterations = fit.x, iterations + fit.nit
-        if cost_and_gradient(x, weighted, area, 1.0)[0] < 1e-6:
-            polish = least_squares(
-                lambda p: _residual_vector(p, weighted, area),
-                x,
-                jac=lambda p: _residual_jacobian(p, weighted, area),
-                method="trf",
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=60 * (len(x) + 1),
-            )
-            if np.linalg.norm(polish.fun) < np.linalg.norm(
-                _residual_vector(x, weighted, area)
-            ):
-                x = polish.x
-                iterations += polish.nfev
-        defect, norms = _metrics(x, problem, area)
-        if _is_converged(defect, norms):
-            break
-        stalled = [k for k, v in norms.items() if v >= CONVERGENCE_TOL]
-        rest_solved = defect < CONVERGENCE_TOL and any(
-            v < CONVERGENCE_TOL for v in norms.values()
-        )
-        if not stalled or not rest_solved:
-            break
-        for name in stalled:
-            weights[name] = weights.get(name, 1.0) * 10.0
-    return x, iterations
+        if np.linalg.norm(polish.fun) < np.linalg.norm(_residual_vector(x, problem, area)):
+            x, iterations = polish.x, iterations + polish.nfev
+            score = _score(x, problem, area)
+    return x, iterations, score
 
 
 def _bang_seed(problem: ControlProblem, n: int) -> np.ndarray:
@@ -314,33 +303,6 @@ def _bang_seed(problem: ControlProblem, n: int) -> np.ndarray:
     idx = np.searchsorted(edges, centers, side="right") - 1
     phases = seg_phase[np.clip(idx, 0, len(segs) - 1)]
     return phases + problem.target.axis_angle
-
-
-def _result_from(
-    phases: np.ndarray,
-    problem: ControlProblem,
-    duration: float,
-    rabi: float,
-    iterations: int,
-    label: str,
-) -> OptimizationResult:
-    area = rabi * duration
-    cost = cost_and_gradient(phases, problem, duration, rabi)[0]
-    defect, norms = _metrics(phases, problem, area)
-    n = len(phases)
-    pulse = PulseProgram(
-        rabi=rabi,
-        segments=tuple((duration / n, float(p)) for p in phases),
-        label=label,
-    )
-    return OptimizationResult(
-        pulse=pulse,
-        cost=cost,
-        constraint_norms=norms,
-        target_defect=defect,
-        iterations=iterations,
-        converged=_is_converged(defect, norms),
-    )
 
 
 def default_segments(area: float, density: float = SEGMENTS_PER_PI) -> int:
@@ -365,6 +327,12 @@ def solve_fixed_duration(
     stop early once one of them converges; non-convergence is a valid,
     flagged outcome.
     """
+    if not (math.isfinite(rabi) and rabi > 0):
+        raise ValueError(f"rabi must be positive and finite, got {rabi}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     area = rabi * duration
     n = n_segments or default_segments(area)
     rng = np.random.default_rng(seed)
@@ -372,21 +340,31 @@ def solve_fixed_duration(
     starts.append(_bang_seed(problem, n))
     starts += [rng.uniform(-math.pi, math.pi, n) for _ in range(restarts)]
 
-    best: tuple[float, np.ndarray, int] | None = None
+    best = None
     total_iterations = 0
     for x0 in starts:
         if len(x0) != n:
             continue
-        x, iterations = _attempt(x0, problem, area, maxiter)
+        x, iterations, (cost, defect, norms) = _attempt(x0, problem, area, maxiter)
         total_iterations += iterations
-        cost = cost_and_gradient(x, problem, area, 1.0)[0]
         if best is None or cost < best[0]:
-            best = (cost, x, total_iterations)
-        defect, norms = _metrics(x, problem, area)
+            best = (cost, defect, norms, x, total_iterations)
         if _is_converged(defect, norms):
             break
     assert best is not None
-    return _result_from(best[1], problem, duration, rabi, best[2], label)
+    cost, defect, norms, phases, iterations = best
+    return OptimizationResult(
+        pulse=PulseProgram(
+            rabi=rabi,
+            segments=tuple((duration / n, float(p)) for p in phases),
+            label=label,
+        ),
+        cost=cost,
+        constraint_norms=norms,
+        target_defect=defect,
+        iterations=iterations,
+        converged=_is_converged(defect, norms),
+    )
 
 
 def _rescale_seed(phases: np.ndarray, n: int) -> np.ndarray:
@@ -397,25 +375,24 @@ def _rescale_seed(phases: np.ndarray, n: int) -> np.ndarray:
 def min_time_search(
     problem: ControlProblem,
     rabi: float,
-    density: float = 2 * SEGMENTS_PER_PI,
     seed: int = 0,
     restarts: int = 8,
-    maxiter: int = 1500,
     label: str = "optimized",
 ) -> OptimizationResult:
     """Shortest converging duration, refined by bisection to 0.1% relative.
 
     Durations are scanned upward from the ideal-rotation speed limit on a
     geometric grid until a fixed-duration solve converges.  The coarse
-    scan runs at half the segment density (cheap and conservative); the
-    feasibility boundary is then re-verified and bisected at the full
-    density, warm-starting each trial from the best converged profile.
-    The default density of 80 segments per pi keeps the uniform grid's
-    feasibility gap near the speed limit below 0.1% (switch points of
-    bang-bang optima fall between grid cells, which costs duration at low
-    density).  Exhausting the ceiling (20 target angles of area) raises
-    :class:`OptimizeFailure` with the best cost per duration.
+    scan runs at 40 segments per pi of area (cheap and conservative); the
+    feasibility boundary is then re-verified and bisected at a fixed 80
+    segments per pi, warm-starting each trial from the best converged
+    profile.  That density keeps the uniform grid's feasibility gap near
+    the speed limit below 0.1% (switch points of bang-bang optima fall
+    between grid cells, which costs duration at low density).  Exhausting
+    the ceiling (20 target angles of area) raises :class:`OptimizeFailure`
+    with the best cost per duration.
     """
+    density = 2 * SEGMENTS_PER_PI
     area_min = problem.target.theta / problem.kappa
     ceiling = AREA_CEILING_FACTOR * problem.target.theta
     diagnostics: list[tuple[float, float]] = []
@@ -428,7 +405,6 @@ def min_time_search(
             n_segments=default_segments(area, dens),
             restarts=restarts,
             seed=seed,
-            maxiter=maxiter,
             extra_seeds=warm,
             label=label,
         )

@@ -129,6 +129,9 @@ def test_solver_input_validation():
         solve_first_order(5.0, 0.0)
     with pytest.raises(ValueError):
         solve_second_order(1.0, math.pi, ETA)
+    for eta in (-0.1, 1.0, 1.2, math.nan):
+        with pytest.raises(ValueError, match="eta must be in"):
+            solve_second_order(5.0, math.pi / 2, eta)
 
 
 def test_second_order_published_tuple():

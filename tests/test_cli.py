@@ -255,6 +255,26 @@ def test_nan_input_exits_nonzero_without_output(tmp_path, capsys, argv):
     assert "nan" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["design-tod", "--theta", "60", "--eta", "nan"], "eta must be in [0, 1)"),
+    (["design-torf2", "--theta", "90", "--eta", "1.2"], "eta must be in [0, 1)"),
+    (["design-torf2", "--theta", "90", "--eta", "nan"], "eta must be in [0, 1)"),
+    (["design-tod", "--theta", "90", "--duration-us", "nan"],
+     "duration must be positive and finite"),
+    (["design-robust", "--theta", "90", "--duration-us", "-5"],
+     "duration must be positive and finite"),
+    (["design-tod", "--theta", "90", "--duration-us", "50", "--restarts", "-3"],
+     "restarts must be >= 0"),
+    (["design-tod", "--theta", "90", "--rabi-hz", "-20000", "--duration-us", "50"],
+     "rabi must be positive and finite"),
+])
+def test_bad_design_input_exits_nonzero_without_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_nan_target_exits_nonzero(tmp_path, capsys):
     pulse_path = tmp_path / "torf.json"
     main(["design-torf", "--theta", "90", "--out", str(pulse_path)])

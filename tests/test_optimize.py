@@ -1,12 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mipulse import optimize
 from mipulse.fidelity import GateTarget
 from mipulse.optimize import (
     PRESETS,
+    _evaluate,
     _residual_jacobian,
     _residual_vector,
     composite_reference,
@@ -15,6 +16,7 @@ from mipulse.optimize import (
     min_time_search,
     solve_fixed_duration,
 )
+from mipulse.pulse import wrap_phase
 from oracles import central_differences
 
 RABI = 2 * math.pi * 20e3
@@ -56,6 +58,27 @@ def test_cost_validation():
         cost_and_gradient(np.zeros(4), problem, -1e-6, RABI)
     with pytest.raises(ValueError):
         control_problem("nope", GateTarget(math.pi), ratio=5.0)
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.0, 1.2, math.nan, math.inf])
+def test_control_problem_rejects_eta_outside_unit_interval(eta):
+    with pytest.raises(ValueError, match="eta must be in"):
+        control_problem("disentangle", GateTarget(math.pi / 2), ratio=5.0, eta=eta)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1e-6, math.nan, math.inf])
+def test_solve_fixed_duration_rejects_bad_duration(duration):
+    problem = control_problem("recoil", GateTarget(math.pi), ratio=5.0)
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        solve_fixed_duration(problem, duration, RABI)
+
+
+def test_solve_fixed_duration_rejects_negative_restarts_and_rabi():
+    problem = control_problem("recoil", GateTarget(math.pi), ratio=5.0)
+    with pytest.raises(ValueError, match="restarts must be >= 0"):
+        solve_fixed_duration(problem, math.pi / RABI, RABI, restarts=-3)
+    with pytest.raises(ValueError, match="rabi must be positive and finite"):
+        solve_fixed_duration(problem, math.pi / RABI, -RABI)
 
 
 def test_infinite_ratio_drops_recoil_constraints():
@@ -155,6 +178,38 @@ def test_result_reports_norms_and_iterations():
     assert result.pulse.duration == pytest.approx(math.pi / RABI)
 
 
+@pytest.mark.parametrize(
+    "preset, duration, kwargs, converged",
+    [
+        ("recoil", math.pi / RABI, {}, True),
+        ("disentangle", 17e-6, {"restarts": 2, "maxiter": 400}, False),
+    ],
+)
+def test_result_scores_its_profile_once(monkeypatch, preset, duration, kwargs, converged):
+    # the reported numbers are those of the best attempt's profile, bit for bit;
+    # the pulse stores that profile wrapped to (-pi, pi], which moves last bits,
+    # so the attempts are recorded to re-score the optimizer's own phases
+    attempts, attempt = [], optimize._attempt
+
+    def recording(*args):
+        attempts.append(attempt(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(optimize, "_attempt", recording)
+    problem = control_problem(preset, GateTarget(math.pi / 2), ratio=5.0, eta=ETA)
+    result = solve_fixed_duration(problem, duration, RABI, seed=0, **kwargs)
+    assert result.converged is converged
+    phases, _, _ = min(attempts, key=lambda a: a[2][0])
+    assert result.pulse.phases == tuple(wrap_phase(p) for p in phases)
+    assert result.cost == cost_and_gradient(phases, problem, duration, RABI)[0]
+    u_qubit, values = _evaluate(phases, problem, RABI * duration, grad=False)
+    overlap = np.trace(problem.target.unitary.conj().T @ u_qubit) / 2
+    assert result.target_defect == 1 - abs(overlap) ** 2
+    assert result.constraint_norms == {
+        name: float(np.linalg.norm(values[name])) for name in problem.constraints
+    }
+
+
 @pytest.mark.parametrize("ratio", [5.0, math.inf])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_polish_jacobian_matches_central_differences(preset, ratio, rng):
@@ -162,8 +217,6 @@ def test_polish_jacobian_matches_central_differences(preset, ratio, rng):
         preset, GateTarget(math.pi / 2, 0.3), ratio, eta=ETA,
         extra_constraints=("trap1", "trap2") if preset == "robust" else (),
     )
-    # a raised weight, as the polish's reweighting sets it
-    problem = replace(problem, weights={name: 7.0 for name in problem.constraints[-1:]})
     phases = rng.uniform(-math.pi, math.pi, 12)
     exact = _residual_jacobian(phases, problem, 4.4)
     numeric = central_differences(lambda p: _residual_vector(p, problem, 4.4), phases)

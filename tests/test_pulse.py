@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipulse.propagate import evolve_qubit
 from mipulse.pulse import (
@@ -111,6 +113,35 @@ def test_serialize_round_trip_nine_segments():
     pulse = make_torf(angles, RABI)
     again = parse(serialize(pulse))
     assert again.segments == pulse.segments
+
+
+PHASES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(math.pi - 1e-9, math.pi + 1e-9),
+    st.floats(-math.pi - 1e-9, -math.pi + 1e-9),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    rabi_hz=st.sampled_from([770.0, 20e3, 20.48e3]) | st.floats(1.0, 1e7),
+    segments=st.lists(
+        st.tuples(st.floats(0.0, exclude_min=True, allow_infinity=False), PHASES),
+        max_size=6,
+    ),
+    label=st.text(max_size=12),
+)
+def test_serialize_round_trip_is_bit_exact(rabi_hz, segments, label):
+    # the file stores the rate in Hz, as every command enters it
+    pulse = PulseProgram(rabi=2 * math.pi * rabi_hz, segments=tuple(segments), label=label)
+    text = serialize(pulse)
+    again = parse(text)
+    assert again.rabi.hex() == pulse.rabi.hex()
+    assert again.label == pulse.label
+    assert [(d.hex(), p.hex()) for d, p in again.segments] == [
+        (d.hex(), p.hex()) for d, p in pulse.segments
+    ]
+    assert serialize(again) == text
 
 
 def test_parse_rejects_negative_duration():
