@@ -64,6 +64,13 @@ def _resolve_p0(args) -> float:
     return p0_from_temperature(args.temperature_uk * 1e-6, TWO_PI * args.omega_hz)
 
 
+def _rabi(args) -> float:
+    """The angular Rabi rate of ``--rabi-hz``, checked before any use."""
+    if not (math.isfinite(args.rabi_hz) and args.rabi_hz > 0):
+        raise ValueError(f"rabi must be positive and finite, got {args.rabi_hz} Hz")
+    return TWO_PI * args.rabi_hz
+
+
 def _target(args) -> GateTarget:
     return GateTarget(math.radians(args.theta), math.radians(args.axis))
 
@@ -81,7 +88,7 @@ def _config_dict(args, skip=("func",)) -> dict:
 
 
 def _cmd_design_bang(args, order: str) -> int:
-    rabi = TWO_PI * args.rabi_hz
+    rabi = _rabi(args)
     ratio = args.omega_hz / args.rabi_hz
     theta = math.radians(args.theta)
     if order == "first":
@@ -104,7 +111,7 @@ def _cmd_design_bang(args, order: str) -> int:
 
 
 def _cmd_design_optimized(args, preset: str) -> int:
-    rabi = TWO_PI * args.rabi_hz
+    rabi = _rabi(args)
     ratio = math.inf if args.omega_hz == math.inf else args.omega_hz / args.rabi_hz
     problem = control_problem(preset, _target(args), ratio, args.eta)
     try:
@@ -171,7 +178,7 @@ def _write_sweep(result, args) -> int:
 
 
 def _cmd_scan_ratio(args) -> int:
-    rabi = TWO_PI * args.rabi_hz
+    rabi = _rabi(args)
     if args.pulse:
         source = load_pulse(args.pulse)
     else:
@@ -191,6 +198,7 @@ def _cmd_scan_ratio(args) -> int:
 
 
 def _cmd_scan_map(args) -> int:
+    rabi_ref = _rabi(args)
     pulse = load_pulse(args.pulse)
     params = SystemParams(
         omega=TWO_PI * args.omega_hz, rabi=pulse.rabi,
@@ -199,7 +207,7 @@ def _cmd_scan_map(args) -> int:
     grid = np.linspace(-args.span, args.span, args.n_grid)
     result = robustness_map(
         pulse, grid, grid, _resolve_p0(args), _target(args), params,
-        rabi_ref=TWO_PI * args.rabi_hz, jobs=args.jobs,
+        rabi_ref=rabi_ref, jobs=args.jobs,
     )
     return _write_sweep(result, args)
 
@@ -255,7 +263,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_composite(args) -> int:
-    pulse = composite_reference(args.name, TWO_PI * args.rabi_hz, args.eta)
+    pulse = composite_reference(args.name, _rabi(args), args.eta)
     _write_design(args.out, pulse, _config_dict(args),
                   {"duration_s": pulse.duration})
     print(f"wrote {args.out}: T = {pulse.duration * 1e6:.2f} us")

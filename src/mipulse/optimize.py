@@ -10,7 +10,10 @@ with exact gradients from the closed-form segment algebra; finite
 differences are kept only as a test oracle.  Each restart is one
 quasi-Newton descent (L-BFGS-B) into the convergence basin and one
 least-squares polish, whose exact Jacobian comes from the same phase
-gradient, to drive the residuals to machine level.
+gradient, to drive the residuals to machine level.  The minimum-time
+search treats the duration as one more variable: after a coarse scan it
+solves ``min A s.t. r(phi, A) = 0`` by SLSQP with exact Jacobians in the
+phases and the pulse area A.
 
 Problem presets map onto the four control problems this package targets:
 ``recoil`` (first-harmonic integral only, first-order dynamics),
@@ -31,7 +34,7 @@ import numpy as np
 from .bangbang import SolverError, solve_first_order
 from .fidelity import GateTarget
 from .pulse import PulseProgram
-from .toggling import evaluate_controls
+from .toggling import ALIASES, CONSTRAINT_KINDS, evaluate_controls
 
 __all__ = [
     "ControlProblem",
@@ -62,6 +65,13 @@ SEGMENTS_PER_PI = 40
 
 #: Outer search gives up beyond this multiple of the target angle.
 AREA_CEILING_FACTOR = 20.0
+
+#: Iteration cap and objective tolerance of the free-time SLSQP solve.
+SQP_MAXITER = 1000
+SQP_FTOL = 1e-12
+
+#: L-BFGS iteration cap of one fixed-duration attempt.
+DESCENT_MAXITER = 1500
 
 class OptimizeFailure(RuntimeError):
     """Raised when the minimum-time search exhausts its area ceiling."""
@@ -145,12 +155,15 @@ class OptimizationResult:
         return self.pulse.duration
 
 
-def _evaluate(phases: np.ndarray, problem: ControlProblem, area: float, grad: bool):
+def _evaluate(
+    phases: np.ndarray, problem: ControlProblem, area: float, grad: bool, wrt: str = "phases"
+):
     n = phases.shape[-1]
     durations = np.full(n, area / n)
     omega = problem.ratio if math.isfinite(problem.ratio) else 0.0
     return evaluate_controls(
-        phases, durations, 1.0, omega, problem.kappa, problem.constraints, want_grad=grad
+        phases, durations, 1.0, omega, problem.kappa, problem.constraints,
+        want_grad=grad, wrt=wrt,
     )
 
 
@@ -240,6 +253,40 @@ def _residual_jacobian(phases: np.ndarray, problem: ControlProblem, area: float)
     return np.concatenate([stacked.real, stacked.imag])
 
 
+def _pauli_rows(v: np.ndarray, hermitian: bool) -> np.ndarray:
+    """Real Pauli components (x, y, z) of a stack of traceless ``v`` (shape
+    (k, 2, 2)), one row each: three for Hermitian operators, else the three
+    real parts, then the three imaginary parts."""
+    v01, v10 = v[..., 0, 1], v[..., 1, 0]
+    parts = np.array([0.5 * (v01 + v10), -0.5j * (v10 - v01), v[..., 0, 0]])
+    return parts.real if hermitian else np.concatenate([parts.real, parts.imag])
+
+
+def _free_time_system(x: np.ndarray, problem: ControlProblem):
+    """Residual ``r(phi, A)`` of the free-time problem and its exact Jacobian.
+
+    ``x`` holds the n phases, then the area A.  The first three rows are
+    ``(Re M10, Im M10, Im M00)`` of ``M = U_tar^dag Uq``, which all vanish
+    exactly when Uq is the target up to a global sign; then one block of
+    Pauli components per distinct integral (after ``toggling.ALIASES``),
+    three for a Hermitian one and six for a complex one.  The Jacobian's
+    columns are the phases, from the phase gradient, then A, from the
+    duration gradient summed over the n equal segments and divided by n.
+    """
+    phases, area = x[:-1], x[-1]
+    u_qubit, values, qubit_grad, grads = _evaluate(phases, problem, area, grad=True)
+    _, _, qubit_rate, rates = _evaluate(phases, problem, area, grad=True, wrt="durations")
+    aligned = problem.target.unitary.conj().T @ u_qubit
+    # each stack holds a value, its n phase derivatives, then its area derivative
+    m = np.concatenate([[aligned], aligned @ qubit_grad, [aligned @ qubit_rate.mean(axis=0)]])
+    blocks = [np.array([m[:, 1, 0].real, m[:, 1, 0].imag, m[:, 0, 0].imag])]
+    for kind in dict.fromkeys(ALIASES.get(c, c) for c in problem.constraints):
+        v = np.concatenate([[values[kind]], grads[kind], [rates[kind].mean(axis=0)]])
+        blocks.append(_pauli_rows(v, hermitian=CONSTRAINT_KINDS[kind][0] == 0))
+    rows = np.concatenate(blocks)
+    return rows[:, 0], rows[:, 1:]
+
+
 def _is_converged(defect: float, norms: dict) -> bool:
     return defect < CONVERGENCE_TOL and all(
         v < CONVERGENCE_TOL for v in norms.values()
@@ -316,7 +363,7 @@ def solve_fixed_duration(
     n_segments: int | None = None,
     restarts: int = 8,
     seed: int = 0,
-    maxiter: int = 1500,
+    maxiter: int = DESCENT_MAXITER,
     extra_seeds: tuple = (),
     label: str = "optimized",
 ) -> OptimizationResult:
@@ -353,10 +400,15 @@ def solve_fixed_duration(
             break
     assert best is not None
     cost, defect, norms, phases, iterations = best
+    return _result(phases, (cost, defect, norms), iterations, duration, rabi, label)
+
+
+def _result(phases, score, iterations, duration, rabi, label) -> OptimizationResult:
+    cost, defect, norms = score
     return OptimizationResult(
         pulse=PulseProgram(
             rabi=rabi,
-            segments=tuple((duration / n, float(p)) for p in phases),
+            segments=tuple((duration / len(phases), float(p)) for p in phases),
             label=label,
         ),
         cost=cost,
@@ -379,18 +431,25 @@ def min_time_search(
     restarts: int = 8,
     label: str = "optimized",
 ) -> OptimizationResult:
-    """Shortest converging duration, refined by bisection to 0.1% relative.
+    """Shortest converging duration: a coarse scan, then one free-time solve.
 
     Durations are scanned upward from the ideal-rotation speed limit on a
-    geometric grid until a fixed-duration solve converges.  The coarse
-    scan runs at 40 segments per pi of area (cheap and conservative); the
-    feasibility boundary is then re-verified and bisected at a fixed 80
-    segments per pi, warm-starting each trial from the best converged
-    profile.  That density keeps the uniform grid's feasibility gap near
-    the speed limit below 0.1% (switch points of bang-bang optima fall
-    between grid cells, which costs duration at low density).  Exhausting
-    the ceiling (20 target angles of area) raises :class:`OptimizeFailure`
-    with the best cost per duration.
+    geometric grid (factor 1.25, 40 segments per pi of area) until a
+    fixed-duration solve converges; a feasible speed limit is returned as
+    is.  The bracketing area is solved again at 80 segments per pi, warm
+    from the coarse profile; that density keeps the uniform grid's
+    feasibility gap near the speed limit below 0.1% (switch points of
+    bang-bang optima fall between grid cells, which costs duration at low
+    density).
+
+    The feasibility boundary is a fold of the solution set, so the
+    shortest area is the solution of ``min A s.t. r(phi, A) = 0`` (see
+    :func:`_free_time_system`).  One SLSQP solve over the phases and the
+    area, from the converged profile, finds it; one :func:`_attempt` at
+    the final area polishes the residuals.  If that polish does not
+    converge, or the area is not below the bracket, the converged bracket
+    profile is returned.  Exhausting the ceiling (20 target angles of
+    area) raises :class:`OptimizeFailure` with the best cost per duration.
     """
     density = 2 * SEGMENTS_PER_PI
     area_min = problem.target.theta / problem.kappa
@@ -421,13 +480,11 @@ def min_time_search(
     # coarse upward scan for an upper bracket
     area = area_min
     coarse: OptimizationResult | None = None
-    area_lo = None
     while area <= ceiling:
         result = try_area(area, density / 2)
         if result.converged:
             coarse = result
             break
-        area_lo = area
         area *= 1.25
     if coarse is None:
         raise OptimizeFailure(
@@ -439,30 +496,39 @@ def min_time_search(
     converged = try_area(area_hi, density, warm_from(coarse, area_hi))
     if not converged.converged:
         converged = coarse  # full density should not be harder; keep the proof
-    if area_lo is None:
+    if area_hi == area_min:
         return converged  # feasible already at the speed limit
 
-    # the coarse grid is conservative: re-verify the lower bracket at full
-    # density, extending downward while it remains feasible
-    while area_lo > area_min * (1 + 1e-12):
-        result = try_area(area_lo, density, warm_from(converged, area_lo))
-        if not result.converged:
-            break
-        converged, area_hi = result, area_lo
-        area_lo = max(area_min, area_lo / 1.25)
-    else:
-        result = try_area(area_min, density, warm_from(converged, area_min))
-        if result.converged:
-            return result
+    phases = np.array(converged.pulse.phases)
+    n = len(phases)
+    area_gradient = np.zeros(n + 1)
+    area_gradient[-1] = 1.0
+    cache: dict = {}
 
-    while (area_hi - area_lo) > 1e-3 * area_hi:
-        mid = 0.5 * (area_lo + area_hi)
-        result = try_area(mid, density, warm_from(converged, mid))
-        if result.converged:
-            converged, area_hi = result, mid
-        else:
-            area_lo = mid
-    return converged
+    def system(x: np.ndarray):
+        key = x.tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = _free_time_system(x, problem)
+        return cache[key]
+
+    fit = minimize(
+        lambda x: x[-1],
+        np.append(phases, area_hi),
+        jac=lambda x: area_gradient,
+        method="SLSQP",
+        bounds=[(None, None)] * n + [(area_min, None)],
+        constraints={
+            "type": "eq", "fun": lambda x: system(x)[0], "jac": lambda x: system(x)[1]
+        },
+        options={"maxiter": SQP_MAXITER, "ftol": SQP_FTOL},
+    )
+    area = float(fit.x[-1])
+    if not area < area_hi:
+        return converged
+    x, iterations, score = _attempt(fit.x[:-1], problem, area, DESCENT_MAXITER)
+    result = _result(x, score, fit.nit + iterations, area / rabi, rabi, label)
+    return result if result.converged else converged
 
 
 #: Published composite sequences usable as robustness references.  Each

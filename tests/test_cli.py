@@ -267,6 +267,12 @@ def test_nan_input_exits_nonzero_without_output(tmp_path, capsys, argv):
      "restarts must be >= 0"),
     (["design-tod", "--theta", "90", "--rabi-hz", "-20000", "--duration-us", "50"],
      "rabi must be positive and finite"),
+    (["design-torf", "--theta", "90", "--rabi-hz", "0"], "rabi must be positive and finite"),
+    (["design-tod", "--theta", "60", "--omega-hz", "inf", "--rabi-hz", "0"],
+     "rabi must be positive and finite"),
+    (["scan-ratio", "--rabi-hz", "0", "--p0", "1.0", "--lmax", "2.1"],
+     "rabi must be positive and finite"),
+    (["composite", "--rabi-hz", "0"], "rabi must be positive and finite"),
 ])
 def test_bad_design_input_exits_nonzero_without_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out.json"

@@ -8,6 +8,7 @@ from mipulse.fidelity import GateTarget
 from mipulse.optimize import (
     PRESETS,
     _evaluate,
+    _free_time_system,
     _residual_jacobian,
     _residual_vector,
     composite_reference,
@@ -151,6 +152,18 @@ def test_min_time_quarter_flip_duration():
     assert abs(result.pulse.area / math.pi - 0.6077) / 0.6077 < 0.003
 
 
+def test_min_time_quarter_flip_is_repeatable_and_no_longer():
+    # no longer than 0.60840 pi, the upper end of a 1e-3 bisection bracket
+    # of the same minimum
+    problem = control_problem("recoil", GateTarget(math.pi / 2), ratio=5.0)
+    first = min_time_search(problem, RABI, seed=0)
+    second = min_time_search(problem, RABI, seed=0)
+    assert first.converged
+    assert 0.60840 * (1 - 1e-3) <= first.pulse.area / math.pi <= 0.60840
+    assert first.pulse.phases == second.pulse.phases
+    assert first.pulse.duration == second.pulse.duration
+
+
 def test_composite_reference_published_values():
     pulse = composite_reference("jones-5a", RABI, ETA)
     assert pulse.rabi / (2 * math.pi) == pytest.approx(20.48e3, abs=10)
@@ -221,6 +234,31 @@ def test_polish_jacobian_matches_central_differences(preset, ratio, rng):
     exact = _residual_jacobian(phases, problem, 4.4)
     numeric = central_differences(lambda p: _residual_vector(p, problem, 4.4), phases)
     assert exact.shape == numeric.shape == (8 * (len(problem.constraints) + 1), 12)
+    assert np.abs(exact - numeric).max() < 1e-8 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("preset, extra, ratio, rows", [
+    ("recoil", (), 5.0, 9),
+    ("recoil", (), math.inf, 3),
+    ("recoil2", (), 5.0, 15),
+    ("recoil2", (), math.inf, 3),
+    ("disentangle", (), 5.0, 18),
+    ("disentangle", (), math.inf, 6),
+    ("robust", ("trap1", "trap2"), 5.0, 33),
+    ("robust", ("trap1", "trap2"), math.inf, 21),
+    # "rabi" integrates the same operator as "entangle": one block, not two
+    ("disentangle", ("rabi",), 5.0, 18),
+    ("disentangle", ("rabi",), math.inf, 6),
+])
+def test_free_time_jacobian_matches_central_differences(preset, extra, ratio, rows, rng):
+    problem = control_problem(
+        preset, GateTarget(math.pi / 2, 0.3), ratio, eta=ETA, extra_constraints=extra
+    )
+    x = np.append(rng.uniform(-math.pi, math.pi, 12), 4.4)
+    residual, exact = _free_time_system(x, problem)
+    numeric = central_differences(lambda y: _free_time_system(y, problem)[0], x)
+    assert residual.shape == (rows,)
+    assert exact.shape == numeric.shape == (rows, 13)
     assert np.abs(exact - numeric).max() < 1e-8 * np.abs(exact).max()
 
 
