@@ -71,6 +71,15 @@ def _rabi(args) -> float:
     return TWO_PI * args.rabi_hz
 
 
+def _grid(start: float, stop: float, step: float, name: str) -> np.ndarray:
+    """The grid ``start, start + step, ...`` through ``stop``, checked first."""
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{name} bounds must be finite, got {start} and {stop}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"{name} step must be positive and finite, got {step}")
+    return np.arange(start, stop + 0.5 * step, step)
+
+
 def _target(args) -> GateTarget:
     return GateTarget(math.radians(args.theta), math.radians(args.axis))
 
@@ -179,6 +188,7 @@ def _write_sweep(result, args) -> int:
 
 def _cmd_scan_ratio(args) -> int:
     rabi = _rabi(args)
+    ratios = _grid(args.lmin, args.lmax, args.lstep, "ratio")
     if args.pulse:
         source = load_pulse(args.pulse)
     else:
@@ -189,7 +199,6 @@ def _cmd_scan_ratio(args) -> int:
                 _theta, _rabi, speed_correction=args.corrected, eta=args.eta
             )
 
-    ratios = np.arange(args.lmin, args.lmax + 0.5 * args.lstep, args.lstep)
     result = sweep_ratio(
         source, ratios, args.model, _resolve_p0(args), _target(args),
         eta=args.eta, truncation=args.m_levels, jobs=args.jobs,
@@ -199,6 +208,8 @@ def _cmd_scan_ratio(args) -> int:
 
 def _cmd_scan_map(args) -> int:
     rabi_ref = _rabi(args)
+    if not (math.isfinite(args.span) and args.span >= 0):
+        raise ValueError(f"span must be finite and >= 0, got {args.span}")
     pulse = load_pulse(args.pulse)
     params = SystemParams(
         omega=TWO_PI * args.omega_hz, rabi=pulse.rabi,
@@ -213,13 +224,13 @@ def _cmd_scan_map(args) -> int:
 
 
 def _cmd_scan_p0(args) -> int:
+    p0_grid = _grid(args.p0_min, args.p0_max, args.p0_step, "p0")
     pulses = [load_pulse(path) for path in args.pulse]
     rabi = pulses[0].rabi
     params = SystemParams(
         omega=TWO_PI * args.omega_hz, rabi=rabi,
         eta=args.eta, truncation=args.m_levels,
     )
-    p0_grid = np.arange(args.p0_min, args.p0_max + 0.5 * args.p0_step, args.p0_step)
     result = error_vs_p0(pulses, p0_grid, _target(args), params, model=args.model)
     return _write_sweep(result, args)
 

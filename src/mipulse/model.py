@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +132,18 @@ def qubit_pair(phase: float, rabi: float) -> QubitPair:
     return QubitPair(drive=drive, quad=quad)
 
 
+@lru_cache(maxsize=64)
+def _displacement(eta: float, truncation: int) -> np.ndarray:
+    """``displacement_coupling`` at (eta, M), built once and read-only.
+
+    It depends on nothing else, so an offset map or a sweep at fixed eta
+    and M exponentiates it once instead of once per Hamiltonian.
+    """
+    disp = displacement_coupling(eta, build_fock(truncation))
+    disp.flags.writeable = False
+    return disp
+
+
 def full_hamiltonian(params: SystemParams, phase: float) -> np.ndarray:
     """Exact driven Hamiltonian with displacement coupling and offsets.
 
@@ -139,7 +152,7 @@ def full_hamiltonian(params: SystemParams, phase: float) -> np.ndarray:
     """
     fock = params.fock()
     dim_m = fock.dim
-    disp = displacement_coupling(params.eta, fock)
+    disp = _displacement(params.eta, params.truncation)
     h = np.zeros((2 * dim_m, 2 * dim_m), dtype=complex)
     coupling = 0.5 * (params.rabi + params.delta_rabi) * np.exp(1j * phase) * disp
     # qubit-slow blocks: [g,g] [g,e] / [e,g] [e,e]

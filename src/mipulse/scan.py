@@ -22,7 +22,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from . import __version__ as _version
-from .fidelity import GateTarget, gate_error, thermal_fidelity, thermal_limit_exact
+from .fidelity import (
+    GUARD_MARGIN,
+    GateTarget,
+    gate_error,
+    thermal_fidelity,
+    thermal_limit_exact,
+)
 from .model import SystemParams
 from .propagate import evolve
 from .pulse import PulseProgram, serialize
@@ -48,6 +54,17 @@ class SweepResult:
 
 def _pulse_hash(pulse: PulseProgram) -> str:
     return hashlib.sha256(serialize(pulse).encode()).hexdigest()
+
+
+def _distinct_hashes(pulses) -> list[str]:
+    """Sorted digests of the distinct pulses, each serialized once.
+
+    Pulses are told apart by identity, then by ``repr``, which carries every
+    serialized field bit for bit (a zero phase keeps its sign).
+    """
+    by_identity = {id(p): p for p in pulses}.values()
+    by_repr = {repr(p): p for p in by_identity}.values()
+    return sorted({_pulse_hash(p) for p in by_repr})
 
 
 def _ratio_point(args):
@@ -76,10 +93,17 @@ def _map_point(args):
         return (ddelta_frac, domega_frac, float("nan"), f"error:{exc}")
 
 
-def _check_p0(p0: float) -> None:
-    """The occupation is shared by every grid point: reject it once, up front."""
-    if not 0 < p0 <= 1:
+def _check_shared(eta: float, truncation: int, p0: float | None = None) -> None:
+    """Parameters shared by every grid point: reject them once, up front.
+
+    ``p0`` is checked unless it is the swept variable.
+    """
+    if p0 is not None and not 0 < p0 <= 1:
         raise ValueError(f"p0 must be in (0, 1], got {p0}")
+    if not 0 <= eta < 1:
+        raise ValueError(f"eta must be in [0, 1), got {eta}")
+    if truncation < GUARD_MARGIN:
+        raise ValueError(f"truncation {truncation} is smaller than the margin {GUARD_MARGIN}")
 
 
 def _run(points, worker, jobs):
@@ -107,7 +131,7 @@ def sweep_ratio(
     to ``ratio * rabi`` of each pulse; the error curve depends only on the
     dimensionless ratio.
     """
-    _check_p0(p0)
+    _check_shared(eta, truncation, p0)
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValueError("ratio grid must be nonempty")
@@ -127,7 +151,7 @@ def sweep_ratio(
         "truncation": truncation,
         "target_theta_rad": target.theta,
         "target_axis_rad": target.axis_angle,
-        "pulse_hash": sorted({_pulse_hash(p) for p in pulses}),
+        "pulse_hash": _distinct_hashes(pulses),
         "tool_version": _version,
     }
     return SweepResult(
@@ -153,7 +177,7 @@ def robustness_map(
     simulation Rabi frequency).  Row order is row-major over
     (detuning, rabi) grid order.
     """
-    _check_p0(p0)
+    _check_shared(params.eta, params.truncation, p0)
     rabi_ref = params.rabi if rabi_ref is None else rabi_ref
     params_dict = asdict(replace(params, delta_detuning=0.0, delta_rabi=0.0))
     points = [
@@ -195,6 +219,7 @@ def error_vs_p0(
     The reference column carries the exact thermal-entanglement floor of
     recoil-free single-axis gates at the same target angle.
     """
+    _check_shared(params.eta, params.truncation)
     rows = []
     for pulse in pulses:
         label = pulse.label or _pulse_hash(pulse)[:12]

@@ -255,6 +255,17 @@ def test_nan_input_exits_nonzero_without_output(tmp_path, capsys, argv):
     assert "nan" in capsys.readouterr().err.lower()
 
 
+#: Stands for a valid pulse file, kept outside the test's output directory.
+PULSE = object()
+
+
+@pytest.fixture(scope="module")
+def torf_pulse(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pulse") / "torf.json"
+    assert main(["design-torf", "--theta", "90", "--out", str(path)]) == 0
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["design-tod", "--theta", "60", "--eta", "nan"], "eta must be in [0, 1)"),
     (["design-torf2", "--theta", "90", "--eta", "1.2"], "eta must be in [0, 1)"),
@@ -273,9 +284,33 @@ def test_nan_input_exits_nonzero_without_output(tmp_path, capsys, argv):
     (["scan-ratio", "--rabi-hz", "0", "--p0", "1.0", "--lmax", "2.1"],
      "rabi must be positive and finite"),
     (["composite", "--rabi-hz", "0"], "rabi must be positive and finite"),
+    (["scan-ratio", "--p0", "1.0", "--lstep", "0"],
+     "ratio step must be positive and finite"),
+    (["scan-ratio", "--p0", "1.0", "--lstep", "nan"],
+     "ratio step must be positive and finite"),
+    (["scan-ratio", "--p0", "1.0", "--lmin", "nan"], "ratio bounds must be finite"),
+    (["scan-ratio", "--p0", "1.0", "--lmax", "inf"], "ratio bounds must be finite"),
+    (["scan-p0", "--pulse", PULSE, "--theta", "90", "--p0-step", "0"],
+     "p0 step must be positive and finite"),
+    (["scan-p0", "--pulse", PULSE, "--theta", "90", "--p0-step", "-0.01"],
+     "p0 step must be positive and finite"),
+    (["scan-p0", "--pulse", PULSE, "--theta", "90", "--p0-min", "nan"],
+     "p0 bounds must be finite"),
+    (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--span", "nan",
+      "--n-grid", "2"], "span must be finite and >= 0"),
+    (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--span", "-0.1",
+      "--n-grid", "2"], "span must be finite and >= 0"),
+    (["scan-ratio", "--p0", "1.0", "--eta", "nan", "--lmax", "2"], "eta must be in [0, 1)"),
+    (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--m-levels", "2",
+      "--n-grid", "2"], "truncation 2 is smaller than the margin 4"),
+    (["scan-p0", "--pulse", PULSE, "--theta", "90", "--m-levels", "3"],
+     "truncation 3 is smaller than the margin 4"),
 ])
-def test_bad_design_input_exits_nonzero_without_output(tmp_path, capsys, argv, message):
+def test_bad_design_input_exits_nonzero_without_output(
+    tmp_path, capsys, torf_pulse, argv, message
+):
     out = tmp_path / "out.json"
+    argv = [torf_pulse if arg is PULSE else arg for arg in argv]
     assert main(argv + ["--out", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
     assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mipulse import model
 from mipulse.model import (
     MODELS,
     SystemParams,
@@ -77,6 +78,25 @@ def test_full_coupling_block_is_displacement():
     dim = p.truncation + 1
     disp = displacement_coupling(p.eta, p.fock())
     assert np.allclose(h[dim:, :dim], 0.5 * RABI * disp, atol=1e-9)
+
+
+def test_displacement_built_once_per_eta_and_truncation(monkeypatch):
+    # an offset map at fixed (eta, M) exponentiates the displacement once
+    calls = []
+
+    def counted(eta, fock):
+        calls.append((eta, fock.truncation))
+        return displacement_coupling(eta, fock)
+
+    monkeypatch.setattr(model, "displacement_coupling", counted)
+    model._displacement.cache_clear()
+    for delta in (0.0, 0.05 * RABI, -0.1 * RABI):
+        h = full_hamiltonian(params_with(eta=0.123, truncation=5, delta_rabi=delta), 0.3)
+        assert np.allclose(h[6:, :6], 0.5 * (RABI + delta) * np.exp(0.3j)
+                           * displacement_coupling(0.123, build_fock(5)), atol=1e-9)
+    full_hamiltonian(params_with(eta=0.123, truncation=6), 0.0)
+    assert calls == [(0.123, 5), (0.123, 6)]
+    assert not model._displacement(0.123, 5).flags.writeable
 
 
 def test_full_detuning_shift():

@@ -149,28 +149,70 @@ def test_non_finite_unitarity_defect_rejected(monkeypatch):
 
 
 def test_one_eigh_per_evolve(monkeypatch):
-    # perfbench/spans.py counts numpy.linalg.eigh calls by name: one of H(0)
-    # per evolve, on top of those made by building H(0) once (the full model
-    # exponentiates its displacement operator)
+    # perfbench/spans.py counts numpy.linalg.eigh calls by name: once the
+    # full model's displacement operator is cached, evolve makes exactly one,
+    # of the real gauged H(0)
     calls = []
     eigh = np.linalg.eigh
 
     def counted(h):
-        calls.append(h.shape)
+        calls.append((h.shape, h.dtype))
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     p = params_with(truncation=4)
     pulses = [EMPTY] + [make_sampled(np.linspace(-3, 3, n), 1e-6, RABI) for n in (1, 2, 30)]
     for model in MODELS:
-        calls.clear()
-        hamiltonian(p, 0.0, model)
-        build = len(calls)
+        evolve(p, EMPTY, model)
         for pulse in pulses:
             calls.clear()
             evolve(p, pulse, model)
-            assert calls.count((p.dim, p.dim)) == 1, (model, len(pulse.segments))
-            assert len(calls) == build + 1, (model, len(pulse.segments))
+            assert calls == [((p.dim, p.dim), np.float64)], (model, len(pulse.segments))
+
+
+def gauged_h0(p, model):
+    m = np.arange(p.truncation + 1)
+    gauge = np.tile(np.array([1, 1j, -1, -1j])[m % 4], 2)
+    h = hamiltonian(p, 0.0, model)
+    return h, gauge.conj()[:, None] * h * gauge
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    model=st.sampled_from(MODELS),
+    truncation=st.integers(1, 8),
+    eta=st.floats(0.0, 0.5),
+    delta_detuning=st.floats(-0.1 * RABI, 0.1 * RABI),
+    delta_rabi=st.floats(-0.1 * RABI, 0.1 * RABI),
+)
+def test_gauged_h0_is_real(model, truncation, eta, delta_detuning, delta_rabi):
+    # G = 1_2 (x) diag(i^m) makes H(0) real symmetric; exactly so when no
+    # displacement operator is exponentiated
+    p = params_with(truncation=truncation, eta=eta, delta_detuning=delta_detuning,
+                    delta_rabi=delta_rabi)
+    h, gauged = gauged_h0(p, model)
+    residue = np.abs(gauged.imag).max()
+    if model == "full":
+        assert residue <= 1e-12 * np.abs(h).max()
+    else:
+        assert residue == 0.0
+    assert np.array_equal(gauged.real, gauged.real.T)
+
+
+def test_gauge_breaking_term_rejected(monkeypatch):
+    # sigma_z (x) (a + a^dag) is real, so the gauge turns it imaginary
+    build = hamiltonian
+
+    def broken(params, phase, model):
+        fock = params.fock()
+        kick = 1e-3 * params.rabi * np.kron(np.diag([1.0, -1.0]), fock.position)
+        return build(params, phase, model) + kick
+
+    monkeypatch.setattr("mipulse.propagate.hamiltonian", broken)
+    for model in MODELS:
+        for pulse in (EMPTY, make_constant(1.0, RABI)):
+            with pytest.raises(ArithmeticError, match="not real"):
+                evolve(params_with(truncation=4), pulse, model)
 
 
 SEGMENTS = st.lists(

@@ -5,7 +5,7 @@ import pytest
 
 from mipulse.fidelity import GateTarget
 from mipulse.model import SystemParams
-from mipulse.pulse import make_constant
+from mipulse.pulse import PulseProgram, make_constant
 from mipulse.bangbang import solve_first_order
 from mipulse.pulse import make_torf
 from mipulse import scan
@@ -186,6 +186,52 @@ def test_sweeps_reject_bad_occupation_before_the_grid():
             sweep_ratio(constant_flip_family(), [5.0], "lamb_dicke", p0, GateTarget(math.pi))
         with pytest.raises(ValueError, match="p0 must be in"):
             robustness_map(pulse, [0.0], [0.0], p0, GateTarget(math.pi), params)
+
+
+def test_sweeps_reject_shared_parameters_before_the_grid(monkeypatch):
+    # eta and the truncation are shared by every point: no point may run
+    def no_point(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(scan, "gate_error", no_point)
+    monkeypatch.setattr(scan, "evolve", no_point)
+    pulse = make_constant(math.pi, RABI)
+    target = GateTarget(math.pi)
+    for eta in (math.nan, -0.1, 1.0):
+        with pytest.raises(ValueError, match=r"eta must be in \[0, 1\)"):
+            sweep_ratio(constant_flip_family(), [5.0], "lamb_dicke", 1.0, target, eta=eta)
+    small = SystemParams(omega=5 * RABI, rabi=RABI, eta=ETA, truncation=3)
+    message = "truncation 3 is smaller than the margin 4"
+    with pytest.raises(ValueError, match=message):
+        sweep_ratio(constant_flip_family(), [5.0], "lamb_dicke", 1.0, target, truncation=3)
+    with pytest.raises(ValueError, match=message):
+        robustness_map(pulse, [0.0], [0.0], 0.95, target, small)
+    with pytest.raises(ValueError, match=message):
+        error_vs_p0([pulse], [0.95], target, small)
+
+
+def test_ratio_sweep_hashes_each_distinct_pulse_once(monkeypatch):
+    serialized = []
+    serialize = scan.serialize
+
+    def counted(pulse):
+        serialized.append(pulse)
+        return serialize(pulse)
+
+    monkeypatch.setattr(scan, "serialize", counted)
+    target = GateTarget(math.pi)
+    family = sweep_ratio(constant_flip_family(), [4.0, 5.0, 6.0], "lamb_dicke", 1.0, target)
+    assert len(serialized) == 1
+    # a zero phase of either sign serializes differently: both are kept
+    plus = make_constant(math.pi, RABI)
+    minus = PulseProgram(rabi=RABI, segments=((plus.duration, -0.0),), label=plus.label)
+    assert minus == plus
+    serialized.clear()
+    mixed = sweep_ratio(lambda r: plus if r < 5 else minus, [4.0, 5.0, 6.0],
+                        "lamb_dicke", 1.0, target)
+    assert len(serialized) == 2
+    assert len(set(mixed.metadata["pulse_hash"])) == 2
+    assert family.metadata["pulse_hash"][0] in mixed.metadata["pulse_hash"]
 
 
 def test_process_pool_is_clamped_to_cpu_count(monkeypatch):
