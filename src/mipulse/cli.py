@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         design_common(p)
         p.add_argument("--duration-us", type=float, default=None,
                        help="fixed duration; omit to search the minimum time")
-        p.add_argument("--restarts", type=int, default=8)
+        p.add_argument("--restarts", type=int, default=8,
+                       help="random starts per duration, at least 1 (default 8)")
         p.set_defaults(func=lambda a, _preset=preset: _cmd_design_optimized(a, _preset))
 
     p = sub.add_parser("simulate", help="evolve a pulse file and report fidelity")

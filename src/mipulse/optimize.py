@@ -9,10 +9,12 @@ toggling-frame integrals vanishes at the final time.  The cost is
 with exact gradients from the closed-form segment algebra; finite
 differences are kept only as a test oracle.  Each restart is one
 quasi-Newton descent (L-BFGS-B) into the convergence basin and one
-least-squares polish, whose exact Jacobian comes from the same phase
-gradient, to drive the residuals to machine level.  The minimum-time
-search treats the duration as one more variable: after a coarse scan it
-solves ``min A s.t. r(phi, A) = 0`` by SLSQP with exact Jacobians in the
+least-squares polish that drives the residuals to machine level.  The
+polish works on the minimal residual rows ``r`` of :func:`_rows` (three
+for the target, three or six per integral), with the exact Jacobian from
+the same phase gradient.  The minimum-time search treats the duration as
+one more variable: after a coarse scan it solves ``min A s.t.
+r(phi, A) = 0`` by SLSQP on the same rows, with exact Jacobians in the
 phases and the pulse area A.
 
 Problem presets map onto the four control problems this package targets:
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bangbang import SolverError, solve_first_order
 from .fidelity import GateTarget
 from .pulse import PulseProgram
 from .toggling import ALIASES, CONSTRAINT_KINDS, evaluate_controls
@@ -215,44 +216,6 @@ def _score(phases: np.ndarray, problem: ControlProblem, area: float):
     return float(cost), float(defect), norms
 
 
-def _residual_vector(phases: np.ndarray, problem: ControlProblem, area: float):
-    """Phase-aligned residuals for the least-squares polish: the entries of
-    ``Uq - alpha U_tar`` with ``alpha = o / |o|``, ``o = Tr(U_tar^dag Uq) / 2``,
-    then the constraint integrals; real parts, then imaginary parts."""
-    u_tar = problem.target.unitary
-    u_qubit, values = _evaluate(phases, problem, area, grad=False)
-    overlap = np.trace(u_tar.conj().T @ u_qubit) / 2
-    size = abs(overlap)
-    alignment = overlap / size if size > 1e-9 else 1.0
-    parts = [u_qubit - alignment * u_tar]
-    parts += [values[name] for name in problem.constraints]
-    stacked = np.concatenate([part.ravel() for part in parts])
-    return np.concatenate([stacked.real, stacked.imag])
-
-
-def _residual_jacobian(phases: np.ndarray, problem: ControlProblem, area: float):
-    """Exact Jacobian of :func:`_residual_vector`, from one gradient evaluation.
-
-    ``dUq/dphi_i = Uq G_i`` and the alignment turns with
-    ``dalpha_i = i alpha Im(conj(alpha) do_i) / |o|``; it is the constant 1
-    (so ``dalpha_i = 0``) where ``|o| <= 1e-9``.
-    """
-    u_tar = problem.target.unitary
-    u_qubit, _, qubit_grad, grads = _evaluate(phases, problem, area, grad=True)
-    target_rows = u_qubit @ qubit_grad
-    overlap = np.trace(u_tar.conj().T @ u_qubit) / 2
-    size = abs(overlap)
-    if size > 1e-9:
-        alignment = overlap / size
-        d_overlap = np.trace(u_tar.conj().T @ target_rows, axis1=-2, axis2=-1) / 2
-        d_alignment = 1j * alignment * np.imag(np.conj(alignment) * d_overlap) / size
-        target_rows = target_rows - d_alignment[:, None, None] * u_tar
-    parts = [target_rows]
-    parts += [grads[name] for name in problem.constraints]
-    stacked = np.concatenate([part.reshape(len(phases), -1) for part in parts], axis=1).T
-    return np.concatenate([stacked.real, stacked.imag])
-
-
 def _pauli_rows(v: np.ndarray, hermitian: bool) -> np.ndarray:
     """Real Pauli components (x, y, z) of a stack of traceless ``v`` (shape
     (k, 2, 2)), one row each: three for Hermitian operators, else the three
@@ -262,16 +225,44 @@ def _pauli_rows(v: np.ndarray, hermitian: bool) -> np.ndarray:
     return parts.real if hermitian else np.concatenate([parts.real, parts.imag])
 
 
+def _rows(m: np.ndarray, stacks: dict, problem: ControlProblem) -> np.ndarray:
+    """The minimal residual rows, one column per entry of the stacks.
+
+    ``m`` stacks ``M = U_tar^dag Uq`` (or its derivatives) and ``stacks``
+    the integrals (or theirs) per kind, each of shape (k, 2, 2).  The first
+    three rows are ``(Re M10, Im M10, Im M00)``, which all vanish exactly
+    when Uq is the target up to a global sign; then one block of Pauli
+    components per distinct integral (after ``toggling.ALIASES``), three
+    for a Hermitian one and six for a complex one.
+    """
+    blocks = [np.array([m[:, 1, 0].real, m[:, 1, 0].imag, m[:, 0, 0].imag])]
+    for kind in dict.fromkeys(ALIASES.get(c, c) for c in problem.constraints):
+        blocks.append(_pauli_rows(stacks[kind], hermitian=CONSTRAINT_KINDS[kind][0] == 0))
+    return np.concatenate(blocks)
+
+
+def _polish_residual(phases: np.ndarray, problem: ControlProblem, area: float):
+    """:func:`_rows` of the profile at a fixed area, from one value evaluation."""
+    u_qubit, values = _evaluate(phases, problem, area, grad=False)
+    aligned = problem.target.unitary.conj().T @ u_qubit
+    return _rows(aligned[None], {k: v[None] for k, v in values.items()}, problem)[:, 0]
+
+
+def _polish_jacobian(phases: np.ndarray, problem: ControlProblem, area: float):
+    """Exact phase Jacobian of :func:`_polish_residual`, from one gradient
+    evaluation: ``dUq/dphi_i = Uq G_i``."""
+    u_qubit, _, qubit_grad, grads = _evaluate(phases, problem, area, grad=True)
+    aligned = problem.target.unitary.conj().T @ u_qubit
+    return _rows(aligned @ qubit_grad, grads, problem)
+
+
 def _free_time_system(x: np.ndarray, problem: ControlProblem):
     """Residual ``r(phi, A)`` of the free-time problem and its exact Jacobian.
 
-    ``x`` holds the n phases, then the area A.  The first three rows are
-    ``(Re M10, Im M10, Im M00)`` of ``M = U_tar^dag Uq``, which all vanish
-    exactly when Uq is the target up to a global sign; then one block of
-    Pauli components per distinct integral (after ``toggling.ALIASES``),
-    three for a Hermitian one and six for a complex one.  The Jacobian's
-    columns are the phases, from the phase gradient, then A, from the
-    duration gradient summed over the n equal segments and divided by n.
+    ``x`` holds the n phases, then the area A; the rows are :func:`_rows`.
+    The Jacobian's columns are the phases, from the phase gradient, then
+    A, from the duration gradient summed over the n equal segments and
+    divided by n.
     """
     phases, area = x[:-1], x[-1]
     u_qubit, values, qubit_grad, grads = _evaluate(phases, problem, area, grad=True)
@@ -279,11 +270,11 @@ def _free_time_system(x: np.ndarray, problem: ControlProblem):
     aligned = problem.target.unitary.conj().T @ u_qubit
     # each stack holds a value, its n phase derivatives, then its area derivative
     m = np.concatenate([[aligned], aligned @ qubit_grad, [aligned @ qubit_rate.mean(axis=0)]])
-    blocks = [np.array([m[:, 1, 0].real, m[:, 1, 0].imag, m[:, 0, 0].imag])]
-    for kind in dict.fromkeys(ALIASES.get(c, c) for c in problem.constraints):
-        v = np.concatenate([[values[kind]], grads[kind], [rates[kind].mean(axis=0)]])
-        blocks.append(_pauli_rows(v, hermitian=CONSTRAINT_KINDS[kind][0] == 0))
-    rows = np.concatenate(blocks)
+    stacks = {
+        kind: np.concatenate([[values[kind]], grads[kind], [rates[kind].mean(axis=0)]])
+        for kind in grads
+    }
+    rows = _rows(m, stacks, problem)
     return rows[:, 0], rows[:, 1:]
 
 
@@ -301,11 +292,13 @@ def _attempt(
 ) -> tuple[np.ndarray, int, tuple[float, float, dict]]:
     """One quasi-Newton descent, then one least-squares polish.
 
-    The polish runs when the cost at the descent's end is below 1e-6 and
-    is kept only if it lowers the residual norm.  That cost is evaluated
-    afresh rather than read from the descent's report, which can differ
-    from it in the last digits.  Returns the profile, the iterations
-    spent and the profile's :func:`_score`.
+    The polish solves :func:`_polish_residual` = 0 at the fixed area: the
+    free-time solve's rows without the area column.  It runs when the
+    cost at the descent's end is below 1e-6 and is kept only if it lowers
+    the residual norm.  That cost is evaluated afresh rather than read
+    from the descent's report, which can differ from it in the last
+    digits.  Returns the profile, the iterations spent and the profile's
+    :func:`_score`.
     """
     fit = minimize(
         lambda p: cost_and_gradient(p, problem, area, 1.0),
@@ -318,38 +311,19 @@ def _attempt(
     score = _score(x, problem, area)
     if score[0] < 1e-6:
         polish = least_squares(
-            lambda p: _residual_vector(p, problem, area),
+            lambda p: _polish_residual(p, problem, area),
             x,
-            jac=lambda p: _residual_jacobian(p, problem, area),
+            jac=lambda p: _polish_jacobian(p, problem, area),
             method="trf",
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,
             max_nfev=60 * (len(x) + 1),
         )
-        if np.linalg.norm(polish.fun) < np.linalg.norm(_residual_vector(x, problem, area)):
+        if np.linalg.norm(polish.fun) < np.linalg.norm(_polish_residual(x, problem, area)):
             x, iterations = polish.x, iterations + polish.nfev
             score = _score(x, problem, area)
     return x, iterations, score
-
-
-def _bang_seed(problem: ControlProblem, n: int) -> np.ndarray:
-    """Paint the first-order bang-bang solution onto a uniform grid."""
-    phases = np.zeros(n)
-    if not math.isfinite(problem.ratio):
-        return phases
-    try:
-        solution = solve_first_order(problem.ratio, problem.target.theta)
-    except (SolverError, ValueError):
-        return phases
-    half = solution.angles.angles
-    segs = np.array(half + half[-2::-1], dtype=float)
-    seg_phase = np.array([0.0 if k % 2 == 0 else math.pi for k in range(len(segs))])
-    edges = np.concatenate(([0.0], np.cumsum(segs))) / segs.sum()
-    centers = (np.arange(n) + 0.5) / n
-    idx = np.searchsorted(edges, centers, side="right") - 1
-    phases = seg_phase[np.clip(idx, 0, len(segs) - 1)]
-    return phases + problem.target.axis_angle
 
 
 def default_segments(area: float, density: float = SEGMENTS_PER_PI) -> int:
@@ -369,22 +343,20 @@ def solve_fixed_duration(
 ) -> OptimizationResult:
     """Best result over the restart schedule at a fixed pulse duration.
 
-    The schedule is ``restarts`` random phase profiles plus one bang-bang
-    seed (plus any caller-provided warm starts, tried first).  Restarts
-    stop early once one of them converges; non-convergence is a valid,
-    flagged outcome.
+    The schedule is the warm starts (``extra_seeds``), then ``restarts``
+    random profiles.  Restarts stop early once one of them converges;
+    non-convergence is a valid, flagged outcome.
     """
     if not (math.isfinite(rabi) and rabi > 0):
         raise ValueError(f"rabi must be positive and finite, got {rabi}")
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     area = rabi * duration
     n = n_segments or default_segments(area)
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, dtype=float) for s in extra_seeds]
-    starts.append(_bang_seed(problem, n))
     starts += [rng.uniform(-math.pi, math.pi, n) for _ in range(restarts)]
 
     best = None

@@ -217,9 +217,17 @@ def error_vs_p0(
     """Per-pulse error versus ground-state occupation, with the bound column.
 
     The reference column carries the exact thermal-entanglement floor of
-    recoil-free single-axis gates at the same target angle.
+    recoil-free single-axis gates at the same target angle.  Every pulse
+    is driven at ``params.rabi``, so a pulse made at another Rabi rate is
+    rejected before the grid.
     """
     _check_shared(params.eta, params.truncation)
+    for pulse in pulses:
+        if pulse.rabi != params.rabi:
+            raise ValueError(
+                f"pulse {pulse.label or _pulse_hash(pulse)[:12]!r} has Rabi rate "
+                f"{pulse.rabi!r} rad/s, but the sweep drives at {params.rabi!r} rad/s"
+            )
     rows = []
     for pulse in pulses:
         label = pulse.label or _pulse_hash(pulse)[:12]

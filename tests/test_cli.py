@@ -156,6 +156,21 @@ def test_scan_p0_with_bound_column(tmp_path):
     assert len(lines) >= 3
 
 
+def test_scan_p0_rejects_pulses_at_different_rabi_rates(tmp_path, capsys):
+    fast, slow = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["design-torf", "--theta", "90", "--out", str(fast)]) == 0
+    assert main(["design-torf", "--theta", "90", "--omega-hz", "50e3", "--rabi-hz", "10e3",
+                 "--out", str(slow)]) == 0
+    out = tmp_path / "p0.csv"
+    code = main([
+        "scan-p0", "--pulse", str(fast), str(slow), "--theta", "90",
+        "--p0-min", "0.95", "--p0-max", "0.95", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_limit_cross_formula_agreement(capsys):
     code = main(["limit", "--p0", "0.98", "--eta", "0.2156", "--theta", "180"])
     assert code == 0
@@ -275,7 +290,7 @@ def torf_pulse(tmp_path_factory):
     (["design-robust", "--theta", "90", "--duration-us", "-5"],
      "duration must be positive and finite"),
     (["design-tod", "--theta", "90", "--duration-us", "50", "--restarts", "-3"],
-     "restarts must be >= 0"),
+     "restarts must be >= 1"),
     (["design-tod", "--theta", "90", "--rabi-hz", "-20000", "--duration-us", "50"],
      "rabi must be positive and finite"),
     (["design-torf", "--theta", "90", "--rabi-hz", "0"], "rabi must be positive and finite"),
@@ -305,6 +320,8 @@ def torf_pulse(tmp_path_factory):
       "--n-grid", "2"], "truncation 2 is smaller than the margin 4"),
     (["scan-p0", "--pulse", PULSE, "--theta", "90", "--m-levels", "3"],
      "truncation 3 is smaller than the margin 4"),
+    (["design-tod", "--theta", "90", "--duration-us", "50", "--restarts", "0"],
+     "restarts must be >= 1"),
 ])
 def test_bad_design_input_exits_nonzero_without_output(
     tmp_path, capsys, torf_pulse, argv, message

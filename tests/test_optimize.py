@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipulse import optimize
 from mipulse.fidelity import GateTarget
@@ -9,8 +11,8 @@ from mipulse.optimize import (
     PRESETS,
     _evaluate,
     _free_time_system,
-    _residual_jacobian,
-    _residual_vector,
+    _polish_jacobian,
+    _polish_residual,
     composite_reference,
     control_problem,
     cost_and_gradient,
@@ -76,8 +78,9 @@ def test_solve_fixed_duration_rejects_bad_duration(duration):
 
 def test_solve_fixed_duration_rejects_negative_restarts_and_rabi():
     problem = control_problem("recoil", GateTarget(math.pi), ratio=5.0)
-    with pytest.raises(ValueError, match="restarts must be >= 0"):
-        solve_fixed_duration(problem, math.pi / RABI, RABI, restarts=-3)
+    for restarts in (-3, 0):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            solve_fixed_duration(problem, math.pi / RABI, RABI, restarts=restarts)
     with pytest.raises(ValueError, match="rabi must be positive and finite"):
         solve_fixed_duration(problem, math.pi / RABI, -RABI)
 
@@ -223,6 +226,17 @@ def test_result_scores_its_profile_once(monkeypatch, preset, duration, kwargs, c
     }
 
 
+#: Rows of the minimal residual per preset and ratio, with ("trap1", "trap2")
+#: added to ``robust``: three target rows, then three per Hermitian integral
+#: and six per complex one.
+POLISH_ROWS = {
+    ("recoil", 5.0): 9, ("recoil", math.inf): 3,
+    ("recoil2", 5.0): 15, ("recoil2", math.inf): 3,
+    ("disentangle", 5.0): 18, ("disentangle", math.inf): 6,
+    ("robust", 5.0): 33, ("robust", math.inf): 21,
+}
+
+
 @pytest.mark.parametrize("ratio", [5.0, math.inf])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_polish_jacobian_matches_central_differences(preset, ratio, rng):
@@ -231,10 +245,44 @@ def test_polish_jacobian_matches_central_differences(preset, ratio, rng):
         extra_constraints=("trap1", "trap2") if preset == "robust" else (),
     )
     phases = rng.uniform(-math.pi, math.pi, 12)
-    exact = _residual_jacobian(phases, problem, 4.4)
-    numeric = central_differences(lambda p: _residual_vector(p, problem, 4.4), phases)
-    assert exact.shape == numeric.shape == (8 * (len(problem.constraints) + 1), 12)
+    residual = _polish_residual(phases, problem, 4.4)
+    exact = _polish_jacobian(phases, problem, 4.4)
+    numeric = central_differences(lambda p: _polish_residual(p, problem, 4.4), phases)
+    rows = POLISH_ROWS[preset, ratio]
+    assert residual.shape == (rows,)
+    assert exact.shape == numeric.shape == (rows, 12)
     assert np.abs(exact - numeric).max() < 1e-8 * np.abs(exact).max()
+    # one residual: the free-time system's value and phase columns, bit for bit
+    free_residual, free_jacobian = _free_time_system(np.append(phases, 4.4), problem)
+    assert np.array_equal(residual, free_residual)
+    assert np.array_equal(exact, free_jacobian[:, :-1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    ratio=st.one_of(st.floats(2.0, 12.0), st.just(math.inf)),
+    chi=st.floats(-math.pi, math.pi),
+    theta=st.floats(0.1, math.pi),
+    area=st.floats(0.5, 6.0),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cost_is_symmetric_under_reflection_about_the_target_axis(
+    preset, ratio, chi, theta, area, n, seed
+):
+    # phi -> 2 chi - phi maps the cost onto itself and flips its gradient, so
+    # every profile of phases in {chi, chi + pi} is a critical point where a
+    # descent stops at once
+    problem = control_problem(preset, GateTarget(theta, chi), ratio, eta=ETA)
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, n)
+    cost, grad = cost_and_gradient(phases, problem, area, 1.0)
+    mirror_cost, mirror_grad = cost_and_gradient(2 * chi - phases, problem, area, 1.0)
+    assert abs(mirror_cost - cost) <= 1e-13 * abs(cost)
+    assert np.abs(mirror_grad + grad).max() <= 1e-13 * np.abs(grad).max()
+    painted = chi + math.pi * rng.integers(0, 2, n)
+    assert np.linalg.norm(cost_and_gradient(painted, problem, area, 1.0)[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("preset, extra, ratio, rows", [

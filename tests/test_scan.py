@@ -208,6 +208,11 @@ def test_sweeps_reject_shared_parameters_before_the_grid(monkeypatch):
         robustness_map(pulse, [0.0], [0.0], 0.95, target, small)
     with pytest.raises(ValueError, match=message):
         error_vs_p0([pulse], [0.95], target, small)
+    # evolve drives every pulse at params.rabi, so all pulses must share it
+    params = SystemParams(omega=5 * RABI, rabi=RABI, eta=ETA)
+    slow = make_constant(math.pi, RABI / 2).relabel("slow")
+    with pytest.raises(ValueError, match="pulse 'slow' has Rabi rate"):
+        error_vs_p0([pulse, slow], [0.95], target, params)
 
 
 def test_ratio_sweep_hashes_each_distinct_pulse_once(monkeypatch):
