@@ -11,6 +11,7 @@ that recoil-induced leakage cannot masquerade as fidelity loss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,9 +60,12 @@ class GateTarget:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    @property
+    @functools.cached_property
     def unitary(self) -> np.ndarray:
-        return su2_rotation(self.theta, self.axis_angle)
+        """The target rotation, computed once per instance and read-only."""
+        u = su2_rotation(self.theta, self.axis_angle)
+        u.flags.writeable = False
+        return u
 
 
 @dataclass(frozen=True)

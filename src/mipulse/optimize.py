@@ -186,10 +186,9 @@ def cost_and_gradient(
         raise ValueError(f"duration must be > 0, got {duration}")
     area = rabi * duration
     u_qubit, values, qubit_grad, grads = _evaluate(phases, problem, area, grad=True)
-    u_tar = problem.target.unitary
-    overlap = np.trace(u_tar.conj().T @ u_qubit) / 2
+    aligned = problem.target.unitary.conj().T @ u_qubit
+    overlap = np.trace(aligned) / 2
     cost = 1 - abs(overlap) ** 2
-    aligned = u_tar.conj().T @ u_qubit
     gradient = -np.real(np.conj(overlap) * np.einsum("ij,nji->n", aligned, qubit_grad))
     for name in problem.constraints:
         value = values[name]

@@ -21,6 +21,15 @@ rotations, held as Cayley-Klein pairs, come from a doubling scan in
 ceil(log2 n) steps, and every conjugation, qubit gradient and commutator
 is a closed-form expression in their entries.
 
+The kernel splits into a duration plan and a phase half.  The plan holds
+everything fixed by the durations, the rates, the kinds and the derivative
+variable: each segment's rotation half-angle and every phase-0 integral and
+derivative row.  It is built once per key, kept read-only in a small
+cache, and shared.  The phase half is the scan, the conjugations, sums and
+commutators.  An optimizer descending at a fixed pulse area thus pays only
+for the phases on each step, and every result is the same bits whether the
+plan came from the cache or was built afresh.
+
 Averaged-propagator predictions assembled from these integrals are valid
 when the integrated interaction stays small; callers can compare
 :func:`interaction_scale` against :data:`VALIDITY_BOUND` (reported, not
@@ -29,8 +38,10 @@ asserted, since the regime boundary is soft).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,9 +115,10 @@ def _e1(mu: float, tau: np.ndarray) -> np.ndarray:
 # operator turned about z, (z, p e^{-i phi_i}, q e^{i phi_i}), so the phase-0
 # components depend on the durations alone and stacked profiles share them.
 
-def _prefix_products(e: np.ndarray, half: np.ndarray):
+def _prefix_products(e: np.ndarray, cos_half: np.ndarray, sin_half: np.ndarray):
     """Cayley-Klein pairs of W_0 = 1, ..., W_n, where W_{i+1} = P_i W_i and
-    P_i turns by 2 ``half`` about the axis at phase phi_i (``e`` = e^{i phi}).
+    P_i turns by 2 half_i about the axis at phase phi_i (``e`` = e^{i phi},
+    ``cos_half`` = cos(half), ``sin_half`` = -i sin(half)).
 
     A doubling scan: after the step of width w, entry i holds the product
     of the up to 2w rotations ending at segment i, so ceil(log2 n) steps
@@ -114,8 +126,8 @@ def _prefix_products(e: np.ndarray, half: np.ndarray):
     """
     alpha = np.ones(e.shape[:-1] + (e.shape[-1] + 1,), dtype=complex)
     beta = np.zeros_like(alpha)
-    alpha[..., 1:] = np.cos(half)
-    beta[..., 1:] = -1j * np.sin(half) * e
+    alpha[..., 1:] = cos_half
+    beta[..., 1:] = sin_half * e
     a, b = alpha[..., 1:], beta[..., 1:]
     width = 1
     while width < e.shape[-1]:
@@ -125,11 +137,11 @@ def _prefix_products(e: np.ndarray, half: np.ndarray):
     return alpha, beta
 
 
-def _conjugated(alpha, beta, e, rows: np.ndarray) -> np.ndarray:
-    """Components of W_i^dag S_i W_i from the phase-0 components ``rows``
-    (shape (rows, 3, n)) of S_i, where W_i = (``alpha``, ``beta``) and ``e``
-    is e^{i phi_i}, both of shape (..., n); the result is (3, ..., rows, n)."""
-    z, p, q = rows.swapaxes(0, 1)
+def _conjugated(alpha, beta, e, z, p, q) -> np.ndarray:
+    """Components of W_i^dag S_i W_i from the phase-0 components ``z``,
+    ``p``, ``q`` (each of shape (rows, n)) of S_i, where W_i = (``alpha``,
+    ``beta``) and ``e`` is e^{i phi_i}, both of shape (..., n); the result
+    is (3, ..., rows, n)."""
     ce = e.conj()
     c = (alpha.conj() * beta * ce)[..., None, :]
     a2 = (alpha * alpha * e)[..., None, :]
@@ -199,6 +211,90 @@ def _segment_integral(kind, durations, starts, rabi, omega, rate) -> np.ndarray:
     return _components(kind, 0.5 * rabi, None, front * cos0, front * sin0)
 
 
+class _Plan(NamedTuple):
+    """The part of :func:`evaluate_controls` that the phases do not touch.
+
+    Rows of the stack (``z``, ``p``, ``q``, each (rows, n)) are the
+    integrated kinds, then, with derivatives, the qubit row and one
+    derivative row per own kind.  Every array is read-only: one plan is
+    shared by every call with the same key.
+    """
+
+    cos_half: np.ndarray  # cos(half) per segment
+    sin_half: np.ndarray  # -i sin(half) per segment
+    z: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    count: int  # integrated kinds: own kinds, then trap partners
+    own: int  # own kinds (after ALIASES)
+    slots: tuple  # (name, row) for each own kind and each requested name
+    partner_rows: tuple  # (own row, integrated row) per trap kind, durations only
+    harmonics: np.ndarray | None  # i omega k per own kind, durations only
+
+
+@functools.lru_cache(maxsize=4)
+def _plan(durations: bytes, rabi: str, omega: str, kappa: str, kinds: tuple, mode) -> _Plan:
+    """The duration plan, keyed on exact bits: ``durations`` as float64
+    bytes, the scalars as ``float.hex`` (so 0.0 and -0.0 differ), and
+    ``mode`` None, ``"phases"`` or ``"durations"``.
+
+    The four entries cover the three modes at one duration set plus the
+    next: an optimizer step at a fixed area pays only for the phases.
+    """
+    durations = np.frombuffer(durations)
+    rabi, omega, kappa = float.fromhex(rabi), float.fromhex(omega), float.fromhex(kappa)
+    ends = np.cumsum(durations)
+    starts = np.concatenate(([0.0], ends))[: len(durations)]
+    rate = kappa * rabi
+    half = 0.5 * rate * durations
+
+    own = list(dict.fromkeys(ALIASES.get(name, name) for name in kinds))
+    slots = {name: own.index(ALIASES.get(name, name)) for name in own + list(kinds)}
+    partners = [_MOMENT0[kind] for kind in own if mode == "durations" and kind in _MOMENT0]
+    integrated = list(dict.fromkeys(own + partners))
+    rows = [
+        _segment_integral(kind, durations, starts, rabi, omega, rate)
+        for kind in integrated
+    ]
+    harmonics, partner_rows = None, ()
+    if mode == "phases":
+        # G_i = W_i^dag (P_i^dag dP_i/dphi_i) W_i, and d/dphi_i of each integral
+        sa, ca = np.sin(half), np.cos(half)
+        rows.append(np.array([1j * sa * sa, -sa * ca, sa * ca]))
+        rows += [row * [[0], [-1j], [1j]] for row in rows[: len(own)]]
+    elif mode == "durations":
+        # dP_i/dtau_i = -i kappa drive_i P_i, then the integrand at the segment's end
+        drive = np.full(len(durations), -0.5j * kappa * rabi)
+        rows.append(np.array([np.zeros_like(drive), drive, drive]))
+        cos, sin = np.cos(2 * half), np.sin(2 * half)
+        for kind in own:
+            k, moment = CONSTRAINT_KINDS[kind]
+            edge = np.exp(1j * k * omega * ends) * ends**moment
+            rows.append(_components(kind, 0.5 * rabi, edge, edge * cos, edge * sin))
+        harmonics = 1j * omega * np.array([CONSTRAINT_KINDS[kind][0] for kind in own])[:, None]
+        partner_rows = tuple(
+            (j, integrated.index(_MOMENT0[kind])) for j, kind in enumerate(own) if kind in _MOMENT0
+        )
+    stack = np.reshape(rows, (len(rows), 3, len(durations)))
+    cos_half, sin_half = np.cos(half), -1j * np.sin(half)
+    for array in (stack, cos_half, sin_half, harmonics):
+        if array is not None:
+            array.flags.writeable = False  # views taken below inherit this
+    z, p, q = stack.swapaxes(0, 1)
+    return _Plan(
+        cos_half=cos_half,
+        sin_half=sin_half,
+        z=z,
+        p=p,
+        q=q,
+        count=len(integrated),
+        own=len(own),
+        slots=tuple(slots.items()),
+        partner_rows=partner_rows,
+        harmonics=harmonics,
+    )
+
+
 def evaluate_controls(
     phases,
     durations,
@@ -230,66 +326,46 @@ def evaluate_controls(
     durations the change is the integrand at the segment's end, and the
     delay of every later segment adds ``i k omega`` times the tail (and, for
     a trap kind, the tail of its moment-0 partner).
+
+    Everything that depends on the durations, ``rabi``, ``omega``,
+    ``kappa``, ``kinds`` and the derivative mode alone is a read-only plan
+    (:func:`_plan`), cached for the last four keys; a call with a cached
+    plan pays only for the phases.  A cached plan is the same bits as a
+    fresh one, so no result depends on the cache.
     """
     if wrt not in ("phases", "durations"):
         raise ValueError(f"wrt must be 'phases' or 'durations', got {wrt!r}")
-    by_phase = want_grad and wrt == "phases"
-    by_duration = want_grad and wrt == "durations"
-    phases = np.asarray(phases, dtype=float)
-    durations = np.asarray(durations, dtype=float)
-    ends = np.cumsum(durations)
-    starts = np.concatenate(([0.0], ends))[: len(durations)]
-    rate = kappa * rabi
-    half = 0.5 * rate * durations
-    e = np.exp(1j * phases)
-    alpha, beta = _prefix_products(e, half)
+    plan = _plan(
+        np.asarray(durations, dtype=float).tobytes(),
+        float(rabi).hex(),
+        float(omega).hex(),
+        float(kappa).hex(),
+        tuple(kinds),
+        wrt if want_grad else None,
+    )
+    e = np.exp(1j * np.asarray(phases, dtype=float))
+    alpha, beta = _prefix_products(e, plan.cos_half, plan.sin_half)
     a, b = alpha[..., -1], beta[..., -1]
     u_qubit = _matrices(a, -b.conj(), b, a.conj())
+    t = _conjugated(alpha[..., :-1], beta[..., :-1], e, plan.z, plan.p, plan.q)
 
-    own = list(dict.fromkeys(ALIASES.get(name, name) for name in kinds))
-    slots = {name: own.index(ALIASES.get(name, name)) for name in own + list(kinds)}
-    partners = [_MOMENT0[kind] for kind in own if by_duration and kind in _MOMENT0]
-    integrated = list(dict.fromkeys(own + partners))
-    rows = [
-        _segment_integral(kind, durations, starts, rabi, omega, rate)
-        for kind in integrated
-    ]
-    if by_phase:
-        # G_i = W_i^dag (P_i^dag dP_i/dphi_i) W_i, and d/dphi_i of each integral
-        sa, ca = np.sin(half), np.cos(half)
-        rows.append(np.array([1j * sa * sa, -sa * ca, sa * ca]))
-        rows += [row * [[0], [-1j], [1j]] for row in rows[: len(own)]]
-    elif by_duration:
-        # dP_i/dtau_i = -i kappa drive_i P_i, then the integrand at the segment's end
-        drive = np.full(len(durations), -0.5j * kappa * rabi)
-        rows.append(np.array([np.zeros_like(drive), drive, drive]))
-        cos, sin = np.cos(2 * half), np.sin(2 * half)
-        for kind in own:
-            k, moment = CONSTRAINT_KINDS[kind]
-            edge = np.exp(1j * k * omega * ends) * ends**moment
-            rows.append(_components(kind, 0.5 * rabi, edge, edge * cos, edge * sin))
-    stack = np.reshape(rows, (len(rows), 3, len(durations)))
-    t = _conjugated(alpha[..., :-1], beta[..., :-1], e, stack)
-
-    count = len(integrated)
+    count = plan.count
     totals = t[..., :count, :].sum(axis=-1)
     matrices = _matrices(totals[0], totals[1], totals[2], -totals[0])
-    values = {name: matrices[..., j, :, :] for name, j in slots.items()}
+    values = {name: matrices[..., j, :, :] for name, j in plan.slots}
     if not want_grad:
         return u_qubit, values
 
     g = t[..., count, :]
     tails = totals[..., None] - np.cumsum(t[..., :count, :], axis=-1)
-    own_tails = tails[..., : len(own), :]
+    own_tails = tails[..., : plan.own, :]
     dv = t[..., count + 1 :, :] + _commutator(own_tails, g[..., None, :])
-    if by_duration:
-        harmonics = np.array([CONSTRAINT_KINDS[kind][0] for kind in own])[:, None]
-        dv += 1j * omega * harmonics * own_tails
-        for j, kind in enumerate(own):
-            if kind in _MOMENT0:
-                dv[..., j, :] += tails[..., integrated.index(_MOMENT0[kind]), :]
+    if wrt == "durations":
+        dv += plan.harmonics * own_tails
+        for j, partner in plan.partner_rows:
+            dv[..., j, :] += tails[..., partner, :]
     derivatives = _matrices(dv[0], dv[1], dv[2], -dv[0])
-    grads = {name: derivatives[..., j, :, :, :] for name, j in slots.items()}
+    grads = {name: derivatives[..., j, :, :, :] for name, j in plan.slots}
     return u_qubit, values, _matrices(g[0], g[1], g[2], -g[0]), grads
 
 

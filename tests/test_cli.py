@@ -247,6 +247,23 @@ def test_non_finite_physics_input_exits_nonzero(tmp_path, capsys):
     assert "delta_detuning must be finite" in capsys.readouterr().err
 
 
+def test_design_tod_min_time_deterministic(tmp_path):
+    # the minimum-time path: coarse scan, full-density solve, free-time SLSQP
+    # and the final polish, twice in one process
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert main([
+            "design-tod", "--theta", "60", "--omega-hz", "inf", "--restarts", "1",
+            "--out", str(out),
+        ]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    meta_a = json.loads((tmp_path / "a.json.meta.json").read_text())
+    meta_b = json.loads((tmp_path / "b.json.meta.json").read_text())
+    meta_a["config"].pop("out"), meta_b["config"].pop("out")
+    assert meta_a == meta_b
+    assert load_pulse(a).duration == pytest.approx(39.993e-6, abs=1e-9)
+
+
 def test_design_tod_accepts_infinite_trap_frequency(tmp_path):
     out = tmp_path / "tod.json"
     code = main([

@@ -17,7 +17,7 @@ from mipulse.fidelity import (
     thermal_limit_leading,
 )
 from mipulse.model import SystemParams
-from mipulse.propagate import evolve
+from mipulse.propagate import evolve, su2_rotation
 from mipulse.pulse import PulseProgram, make_constant, shift_axis
 from oracles import probe_fidelity
 
@@ -214,3 +214,12 @@ def test_shift_axis_rotates_gate_and_target_alike(segments, theta, axis):
     r = z[[0, -1]]
     rotated = r[:, None] * GateTarget(theta, 0.0).unitary * r.conj()
     assert np.abs(GateTarget(theta, axis).unitary - rotated).max() <= 1e-15
+
+
+def test_target_unitary_is_built_once_and_read_only():
+    target = GateTarget(math.pi / 3, 0.4)
+    assert target.unitary is target.unitary
+    assert not target.unitary.flags.writeable
+    assert target.unitary.tobytes() == su2_rotation(math.pi / 3, 0.4).tobytes()
+    assert target == GateTarget(math.pi / 3, 0.4)
+    assert hash(target) == hash(GateTarget(math.pi / 3, 0.4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipulse import optimize
+from mipulse import optimize, toggling
 from mipulse.fidelity import GateTarget
 from mipulse.optimize import (
     PRESETS,
@@ -165,6 +165,27 @@ def test_min_time_quarter_flip_is_repeatable_and_no_longer():
     assert 0.60840 * (1 - 1e-3) <= first.pulse.area / math.pi <= 0.60840
     assert first.pulse.phases == second.pulse.phases
     assert first.pulse.duration == second.pulse.duration
+
+
+def test_attempt_builds_segment_integrals_once_per_mode(monkeypatch):
+    # every segment lasts area/n throughout an attempt, so the duration plan
+    # is built once for the values and once for the phase derivatives, not
+    # once per descent step or polish evaluation
+    built, segment_integral = [], toggling._segment_integral
+
+    def counting(kind, *args):
+        built.append(kind)
+        return segment_integral(kind, *args)
+
+    monkeypatch.setattr(toggling, "_segment_integral", counting)
+    toggling._plan.cache_clear()
+    problem = control_problem("disentangle", GateTarget(math.pi / 2), ratio=5.0, eta=ETA)
+    area = RABI * 49.2e-6
+    x0 = np.random.default_rng(0).uniform(-math.pi, math.pi, optimize.default_segments(area))
+    _, iterations, (cost, _, _) = optimize._attempt(x0, problem, area, 300)
+    assert iterations > 10
+    assert cost < 1e-6  # so the polish ran too
+    assert sorted(built) == sorted(problem.constraints * 2)
 
 
 def test_composite_reference_published_values():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from mipulse import toggling
 from mipulse.model import SystemParams
 from mipulse.operators import SIGMA_X, SIGMA_Z
 from mipulse.propagate import evolve, evolve_qubit, su2_rotation
@@ -387,3 +388,92 @@ def test_values_do_not_depend_on_want_grad(rng, wrt):
         assert full[1].keys() == plain[1].keys()
         for name in plain[1]:
             np.testing.assert_array_equal(full[1][name], plain[1][name])
+
+
+def assert_same_bits(got, want):
+    """Two results of ``evaluate_controls``, compared array by array as bytes
+    (so that -0.0 and 0.0, or two NaN payloads, differ)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, dict):
+            assert list(g) == list(w)
+            g, w = list(g.values()), list(w.values())
+        else:
+            g, w = [g], [w]
+        for a, b in zip(g, w):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    n=st.integers(0, 60),
+    stack=st.sampled_from([(), (2,), (2, 3)]),
+    kinds=st.lists(st.sampled_from(ALL_KINDS), unique=True, max_size=len(ALL_KINDS)),
+    mode=st.sampled_from([None, "phases", "durations"]),
+    omega=st.sampled_from([0.0, 3.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, stack=(), kinds=list(ALL_KINDS), mode="durations", omega=3.7, seed=0)
+@example(n=1, stack=(2,), kinds=list(ALL_KINDS), mode="phases", omega=3.7, seed=1)
+@example(n=1, stack=(), kinds=[], mode=None, omega=0.0, seed=2)
+def test_cached_plan_gives_the_same_bits(n, stack, kinds, mode, omega, seed):
+    # a fresh plan, the cached one, and a fresh one again after other keys
+    # evicted it give the same bits; the plan is read-only, and writing into a
+    # result leaves the next call's result as it was
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, stack + (n,))
+    durations = rng.uniform(0.01, 0.6, n)
+    kinds = tuple(kinds)
+
+    def evaluate(durations, rabi=1.3):
+        return evaluate_controls(
+            phases, durations, rabi, omega, 0.977, kinds, mode is not None, mode or "phases"
+        )
+
+    toggling._plan.cache_clear()
+    cold = evaluate(durations)
+    warm = evaluate(durations)
+    assert toggling._plan.cache_info().hits == 1
+    assert_same_bits(warm, cold)
+
+    plan = toggling._plan(
+        durations.tobytes(), (1.3).hex(), omega.hex(), (0.977).hex(), kinds, mode
+    )
+    assert toggling._plan.cache_info().hits == 2
+    assert not any(field.flags.writeable for field in plan if isinstance(field, np.ndarray))
+
+    for result in warm:
+        for array in result.values() if isinstance(result, dict) else [result]:
+            array[...] = np.nan
+    assert_same_bits(evaluate(durations), cold)
+
+    # other duration sets, at other rates so that n = 0 has other keys too
+    for scale in range(2, 2 + toggling._plan.cache_info().maxsize):
+        evaluate(durations * scale, rabi=1.3 * scale)
+    misses = toggling._plan.cache_info().misses
+    assert_same_bits(evaluate(durations), cold)
+    assert toggling._plan.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("wrt", ["phases", "durations"])
+def test_plans_are_keyed_on_exact_bits(rng, wrt):
+    # a one-ulp change to one duration, and omega -0.0 against 0.0, each get
+    # a plan of their own, which gives the same bits as built alone
+    phases = rng.uniform(-math.pi, math.pi, (2, 7))
+    durations = rng.uniform(0.01, 0.6, 7)
+    nudged = durations.copy()
+    nudged[3] = np.nextafter(nudged[3], 1.0)
+    keys = [(durations, 0.0), (nudged, 0.0), (durations, -0.0)]
+
+    def evaluate(durations, omega):
+        return evaluate_controls(phases, durations, 1.3, omega, 0.977, ALL_KINDS, True, wrt)
+
+    alone = []
+    for key in keys:
+        toggling._plan.cache_clear()
+        alone.append(evaluate(*key))
+    toggling._plan.cache_clear()
+    for key, want in zip(keys, alone):
+        assert_same_bits(evaluate(*key), want)
+    assert toggling._plan.cache_info().misses == len(keys)
