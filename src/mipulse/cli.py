@@ -208,6 +208,8 @@ def _cmd_scan_ratio(args) -> int:
 
 def _cmd_scan_map(args) -> int:
     rabi_ref = _rabi(args)
+    if args.n_grid < 1:
+        raise ValueError(f"--n-grid must be >= 1, got {args.n_grid}")
     if not (math.isfinite(args.span) and args.span >= 0):
         raise ValueError(f"span must be finite and >= 0, got {args.span}")
     pulse = load_pulse(args.pulse)

@@ -12,6 +12,18 @@ Three builders are provided, all returning dense Hermitian matrices on the
   coupling term.
 
 The instantaneous laser phase ``phase`` is the only control variable.
+
+A sweep over the trap-to-drive ratio builds hundreds of systems that differ
+only in the trap frequency, so everything else is built once and shared
+read-only: the Fock ladder (per truncation, in :mod:`.operators`), the
+full model's displacement operator (per eta and truncation), and the
+expanded models' static part, every term but ``I (x) omega n``, per exact
+bits of (phase, rabi, eta) and truncation.  The trap term is last in both
+expanded sums and is added to the cached static part in that order, so
+each call returns a fresh array with the bits of the written left-to-right
+sum.  ``full_hamiltonian`` assembles its blocks on every call: its offset
+``delta_rabi`` changes at every point of an offset map, and regrouping its
+terms could flip the signs of zeros.
 """
 
 from __future__ import annotations
@@ -164,15 +176,50 @@ def full_hamiltonian(params: SystemParams, phase: float) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=16)
+def _static_part(model: str, phase: str, rabi: str, eta: str, truncation: int) -> np.ndarray:
+    """Every term of an expanded model but the trap term, built once, read-only.
+
+    Keyed on exact bits: the floats as ``float.hex``, so 0.0 and -0.0 (and
+    values one ulp apart) get their own entries.  The terms are summed left
+    to right, as the docstrings write them.
+    """
+    phase, rabi, eta = float.fromhex(phase), float.fromhex(rabi), float.fromhex(eta)
+    fock = build_fock(truncation)
+    drive, quad = qubit_pair(phase, rabi)
+    if model == "lamb_dicke":
+        static = tensor(drive, np.eye(fock.dim)) + eta * tensor(quad, fock.position)
+    else:
+        two_quanta = fock.raise_ @ fock.raise_ + fock.lower @ fock.lower
+        static = (
+            (1 - 0.5 * eta**2) * tensor(drive, np.eye(fock.dim))
+            + eta * tensor(quad, fock.position)
+            - 0.5 * eta**2 * tensor(drive, two_quanta)
+            - eta**2 * tensor(drive, fock.number)
+        )
+    static.flags.writeable = False
+    return static
+
+
+def _expanded(model: str, params: SystemParams, phase: float) -> np.ndarray:
+    """The cached static part plus the trap term, as a fresh array.
+
+    The trap term is the last one of the sum, so adding it to the static
+    part repeats the left-to-right order of the written sum: same bits.
+    """
+    static = _static_part(
+        model,
+        float(phase).hex(),
+        float(params.rabi).hex(),
+        float(params.eta).hex(),
+        params.truncation,
+    )
+    return static + tensor(IDENT_2, params.omega * params.fock().number)
+
+
 def lamb_dicke_hamiltonian(params: SystemParams, phase: float) -> np.ndarray:
     """First order in eta: ``drive (x) I + eta quad (x) (a^dag + a) + I (x) omega n``."""
-    fock = params.fock()
-    drive, quad = qubit_pair(phase, params.rabi)
-    return (
-        tensor(drive, np.eye(fock.dim))
-        + params.eta * tensor(quad, fock.position)
-        + tensor(IDENT_2, params.omega * fock.number)
-    )
+    return _expanded("lamb_dicke", params, phase)
 
 
 def second_order_hamiltonian(params: SystemParams, phase: float) -> np.ndarray:
@@ -180,19 +227,12 @@ def second_order_hamiltonian(params: SystemParams, phase: float) -> np.ndarray:
 
     The drive acquires the (1 - eta^2/2) slowdown; the coupling adds the
     two-quantum term -(eta^2/2) drive (x) (a^dag^2 + a^2) and the
-    occupation-dependent term -eta^2 drive (x) n.
+    occupation-dependent term -eta^2 drive (x) n::
+
+        (1 - eta^2/2) drive (x) I + eta quad (x) (a^dag + a)
+        - (eta^2/2) drive (x) (a^dag^2 + a^2) - eta^2 drive (x) n + I (x) omega n
     """
-    fock = params.fock()
-    drive, quad = qubit_pair(phase, params.rabi)
-    eta = params.eta
-    two_quanta = fock.raise_ @ fock.raise_ + fock.lower @ fock.lower
-    return (
-        (1 - 0.5 * eta**2) * tensor(drive, np.eye(fock.dim))
-        + eta * tensor(quad, fock.position)
-        - 0.5 * eta**2 * tensor(drive, two_quanta)
-        - eta**2 * tensor(drive, fock.number)
-        + tensor(IDENT_2, params.omega * fock.number)
-    )
+    return _expanded("second_order", params, phase)
 
 
 _BUILDERS = {

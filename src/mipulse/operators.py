@@ -10,6 +10,7 @@ and returns a unitary by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,10 @@ class FockOperators:
     """Ladder operators on the motional space truncated at level ``truncation``.
 
     ``lower`` annihilates one motional quantum (``lower[m-1, m] = sqrt(m)``),
-    ``raise_`` is its adjoint.  Both are ``(M+1) x (M+1)`` dense arrays.
+    ``raise_`` is its adjoint.  Both are ``(M+1) x (M+1)`` dense arrays,
+    and so are ``number`` and ``position``, each computed once per instance;
+    all four are read-only, since :func:`build_fock` shares one instance
+    per truncation.
     """
 
     truncation: int
@@ -53,19 +57,29 @@ class FockOperators:
     def dim(self) -> int:
         return self.truncation + 1
 
-    @property
+    @functools.cached_property
     def number(self) -> np.ndarray:
         """Occupation-number operator ``raise_ @ lower`` (diagonal 0..M)."""
-        return self.raise_ @ self.lower
+        return _read_only(self.raise_ @ self.lower)
 
-    @property
+    @functools.cached_property
     def position(self) -> np.ndarray:
         """Dimensionless position quadrature ``raise_ + lower``."""
-        return self.raise_ + self.lower
+        return _read_only(self.raise_ + self.lower)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=16)
 def build_fock(truncation: int) -> FockOperators:
-    """Build ladder operators with ``truncation`` retained excited levels.
+    """Ladder operators with ``truncation`` retained excited levels.
+
+    Built once per truncation and shared: the arrays are read-only, so a
+    sweep of systems that differ only in their frequencies reuses one
+    ladder, and no caller can change what another sees.
 
     Parameters
     ----------
@@ -83,12 +97,22 @@ def build_fock(truncation: int) -> FockOperators:
     lower = np.zeros((dim, dim), dtype=complex)
     ladder = np.sqrt(np.arange(1, dim, dtype=float))
     lower[np.arange(dim - 1), np.arange(1, dim)] = ladder
-    return FockOperators(truncation=truncation, lower=lower, raise_=lower.conj().T)
+    return FockOperators(
+        truncation=truncation,
+        lower=_read_only(lower),
+        raise_=_read_only(lower.conj().T),
+    )
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the package's qubit-slow ordering (``np.kron``)."""
-    return np.kron(a, b)
+    """Tensor product of two 2-D arrays with the package's qubit-slow ordering.
+
+    Entry ``(i*rb + j, k*cb + l)`` is ``a[i, k] * b[j, l]``: the same single
+    products as ``np.kron``, so the same bits, from one broadcast multiply
+    without kron's general-rank reshaping.
+    """
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

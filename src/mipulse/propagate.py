@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,14 @@ REALITY_TOL = 1e-12
 
 #: The powers i^m, indexed by m mod 4: a table, so exact for every m.
 _I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@lru_cache(maxsize=16)
+def _gauge(truncation: int) -> np.ndarray:
+    """The diagonal of ``G = 1_2 (x) diag(i^m)``, built once per truncation, read-only."""
+    gauge = np.tile(_I_POWERS[np.arange(truncation + 1) % 4], 2)
+    gauge.flags.writeable = False
+    return gauge
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ def evolve(params: SystemParams, pulse: PulseProgram, model: str = "full") -> Pr
     violation, or a non-finite operator, raises ``ArithmeticError``.
     """
     h = hamiltonian(params, 0.0, model)
-    gauge = np.tile(_I_POWERS[np.arange(params.truncation + 1) % 4], 2)
+    gauge = _gauge(params.truncation)
     gauged = gauge.conj()[:, None] * h * gauge
     residue = np.abs(gauged.imag).max()
     if not residue <= REALITY_TOL * np.abs(h).max():

@@ -68,18 +68,18 @@ def _distinct_hashes(pulses) -> list[str]:
 
 
 def _ratio_point(args):
-    ratio, pulse, model, theta, axis, p0, eta, truncation = args
+    ratio, pulse, model, target, p0, eta, truncation = args
     try:
         params = SystemParams(
             omega=ratio * pulse.rabi, rabi=pulse.rabi, eta=eta, truncation=truncation
         )
-        return (ratio, gate_error(params, pulse, GateTarget(theta, axis), p0, model), "ok")
+        return (ratio, gate_error(params, pulse, target, p0, model), "ok")
     except Exception as exc:  # noqa: BLE001 - failed points are flagged, not fatal
         return (ratio, float("nan"), f"error:{exc}")
 
 
 def _map_point(args):
-    ddelta_frac, domega_frac, pulse, theta, axis, p0, params_dict, rabi_ref = args
+    ddelta_frac, domega_frac, pulse, target, p0, params_dict, rabi_ref = args
     try:
         params = SystemParams(**params_dict)
         params = replace(
@@ -87,7 +87,7 @@ def _map_point(args):
             delta_detuning=ddelta_frac * rabi_ref,
             delta_rabi=domega_frac * rabi_ref,
         )
-        err = gate_error(params, pulse, GateTarget(theta, axis), p0, "full")
+        err = gate_error(params, pulse, target, p0, "full")
         return (ddelta_frac, domega_frac, err, "ok")
     except Exception as exc:  # noqa: BLE001
         return (ddelta_frac, domega_frac, float("nan"), f"error:{exc}")
@@ -139,7 +139,7 @@ def sweep_ratio(
         pulse_source(r) if callable(pulse_source) else pulse_source for r in ratios
     ]
     points = [
-        (r, pulse, model, target.theta, target.axis_angle, p0, eta, truncation)
+        (r, pulse, model, target, p0, eta, truncation)
         for r, pulse in zip(ratios, pulses)
     ]
     rows = _run(points, _ratio_point, jobs)
@@ -181,8 +181,7 @@ def robustness_map(
     rabi_ref = params.rabi if rabi_ref is None else rabi_ref
     params_dict = asdict(replace(params, delta_detuning=0.0, delta_rabi=0.0))
     points = [
-        (float(dd), float(dr), pulse, target.theta, target.axis_angle, p0,
-         params_dict, rabi_ref)
+        (float(dd), float(dr), pulse, target, p0, params_dict, rabi_ref)
         for dd in detuning_fracs
         for dr in rabi_fracs
     ]
@@ -219,9 +218,12 @@ def error_vs_p0(
     The reference column carries the exact thermal-entanglement floor of
     recoil-free single-axis gates at the same target angle.  Every pulse
     is driven at ``params.rabi``, so a pulse made at another Rabi rate is
-    rejected before the grid.
+    rejected before the grid, as is an empty grid.
     """
     _check_shared(params.eta, params.truncation)
+    p0_grid = [float(p0) for p0 in p0_grid]
+    if not p0_grid:
+        raise ValueError("p0 grid must be nonempty")
     for pulse in pulses:
         if pulse.rabi != params.rabi:
             raise ValueError(
@@ -235,16 +237,15 @@ def error_vs_p0(
             prop = evolve(params, pulse, model)
         except Exception as exc:  # noqa: BLE001
             for p0 in p0_grid:
-                rows.append((label, float(p0), float("nan"), float("nan"),
-                             f"error:{exc}"))
+                rows.append((label, p0, float("nan"), float("nan"), f"error:{exc}"))
             continue
         for p0 in p0_grid:
-            bound = thermal_limit_exact(float(p0), params.eta, target.theta)
+            bound = thermal_limit_exact(p0, params.eta, target.theta)
             try:
-                report = thermal_fidelity(prop, target, float(p0))
-                rows.append((label, float(p0), report.error, bound, "ok"))
+                report = thermal_fidelity(prop, target, p0)
+                rows.append((label, p0, report.error, bound, "ok"))
             except Exception as exc:  # noqa: BLE001
-                rows.append((label, float(p0), float("nan"), bound, f"error:{exc}"))
+                rows.append((label, p0, float("nan"), bound, f"error:{exc}"))
     metadata = {
         "kind": "p0-sweep",
         "model": model,

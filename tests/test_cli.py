@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mipulse.cli import main
-from mipulse.pulse import load_pulse
+from mipulse.pulse import load_pulse, make_constant, save_pulse
 
 
 def test_design_torf_writes_pulse_and_sidecar(tmp_path, capsys):
@@ -339,6 +339,12 @@ def torf_pulse(tmp_path_factory):
      "truncation 3 is smaller than the margin 4"),
     (["design-tod", "--theta", "90", "--duration-us", "50", "--restarts", "0"],
      "restarts must be >= 1"),
+    (["scan-p0", "--pulse", PULSE, "--theta", "90", "--p0-min", "0.9", "--p0-max", "0.5"],
+     "p0 grid must be nonempty"),
+    (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--n-grid", "-1"],
+     "--n-grid must be >= 1"),
+    (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--n-grid", "0"],
+     "--n-grid must be >= 1"),
 ])
 def test_bad_design_input_exits_nonzero_without_output(
     tmp_path, capsys, torf_pulse, argv, message
@@ -368,3 +374,27 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_scan_commands_leave_scipy_unloaded(tmp_path):
+    # the scan workloads pay neither scipy's import time nor its memory
+    pulse = tmp_path / "flip.json"
+    save_pulse(make_constant(math.pi, 2 * math.pi * 20e3), pulse)
+    commands = [
+        ["scan-ratio", "--theta", "180", "--p0", "1.0", "--lmax", "2.1"],
+        ["scan-p0", "--pulse", str(pulse), "--theta", "180", "--p0-min", "0.98"],
+        ["scan-map", "--pulse", str(pulse), "--theta", "180", "--p0", "0.95",
+         "--n-grid", "2"],
+    ]
+    for i, argv in enumerate(commands):
+        argv += ["--out", str(tmp_path / f"scan{i}.csv")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from mipulse.cli import main; "
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mipulse import model
+from mipulse import model, operators
+from mipulse.fidelity import GateTarget
 from mipulse.model import (
     MODELS,
     SystemParams,
@@ -13,7 +15,15 @@ from mipulse.model import (
     qubit_pair,
     second_order_hamiltonian,
 )
-from mipulse.operators import SIGMA_X, SIGMA_Y, build_fock, displacement_coupling
+from mipulse.operators import (
+    IDENT_2,
+    SIGMA_X,
+    SIGMA_Y,
+    build_fock,
+    displacement_coupling,
+)
+from mipulse.pulse import make_constant
+from mipulse.scan import sweep_ratio
 
 RABI = 2 * math.pi * 20e3
 
@@ -201,3 +211,102 @@ def test_phase_is_a_diagonal_frame(model, rng):
         rotated = frame[:, None] * h0 * frame.conj()[None, :]
         h = hamiltonian(p, phase, model)
         assert np.linalg.norm(h - rotated) <= 1e-13 * np.linalg.norm(h)
+
+
+def written_sum(params, phase, model_name):
+    """The expanded models' sums as written, left to right, with ``np.kron``."""
+    fock = build_fock(params.truncation)
+    drive, quad = qubit_pair(phase, params.rabi)
+    eta, eye = params.eta, np.eye(fock.dim)
+    trap = np.kron(IDENT_2, params.omega * fock.number)
+    if model_name == "lamb_dicke":
+        return np.kron(drive, eye) + eta * np.kron(quad, fock.position) + trap
+    two_quanta = fock.raise_ @ fock.raise_ + fock.lower @ fock.lower
+    return (
+        (1 - 0.5 * eta**2) * np.kron(drive, eye)
+        + eta * np.kron(quad, fock.position)
+        - 0.5 * eta**2 * np.kron(drive, two_quanta)
+        - eta**2 * np.kron(drive, fock.number)
+        + trap
+    )
+
+
+@pytest.mark.parametrize("model_name", ["lamb_dicke", "second_order"])
+@pytest.mark.parametrize("phase", [0.0, -0.0, 0.3, -2.2, math.pi])
+@pytest.mark.parametrize("eta, truncation", [(0.2156, 20), (0.05, 4), (0.0, 7)])
+def test_expanded_models_are_the_written_sum_bit_for_bit(model_name, phase, eta, truncation):
+    p = params_with(eta=eta, truncation=truncation)
+    for omega in (2 * math.pi * 100e3, 2 * math.pi * 51.3e3):
+        p = replace(p, omega=omega)
+        expected = written_sum(p, phase, model_name).tobytes()
+        assert hamiltonian(p, phase, model_name).tobytes() == expected
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+def test_hamiltonians_are_fresh_writeable_arrays(model_name):
+    p = params_with(truncation=6, delta_rabi=0.01 * RABI)
+    first = hamiltonian(p, 0.4, model_name)
+    bits = first.tobytes()
+    assert first.flags.writeable
+    first[...] = np.nan
+    second = hamiltonian(p, 0.4, model_name)
+    assert second is not first and second.flags.writeable
+    assert second.tobytes() == bits
+
+
+def test_static_part_is_read_only():
+    model._static_part.cache_clear()
+    hamiltonian(params_with(truncation=6), 0.2, "second_order")
+    static = model._static_part("second_order", (0.2).hex(), RABI.hex(), (0.2156).hex(), 6)
+    assert not static.flags.writeable
+    assert model._static_part.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("model_name", ["lamb_dicke", "second_order"])
+def test_static_part_keyed_on_exact_bits(model_name):
+    # 0.0 and -0.0 compare equal, as do nothing one ulp apart: each is its own entry
+    keys = [
+        (0.0, RABI),
+        (-0.0, RABI),
+        (0.0, math.nextafter(RABI, math.inf)),
+        (-0.0, math.nextafter(RABI, math.inf)),
+    ]
+    cold = []
+    for phase, rabi in keys:
+        model._static_part.cache_clear()
+        cold.append(hamiltonian(params_with(rabi=rabi, truncation=5), phase, model_name).tobytes())
+    assert cold[0] != cold[2]
+    model._static_part.cache_clear()
+    for _ in range(2):
+        warm = [
+            hamiltonian(params_with(rabi=rabi, truncation=5), phase, model_name).tobytes()
+            for phase, rabi in keys
+        ]
+        assert warm == cold
+    assert model._static_part.cache_info().currsize == len(keys)
+    assert model._static_part.cache_info().misses == len(keys)
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+def test_ratio_sweep_builds_ladder_and_static_part_once(monkeypatch, model_name):
+    ladders, statics = [], []
+
+    def counted_ladder(**fields):
+        ladders.append(fields["truncation"])
+        return ladder_type(**fields)
+
+    def counted_pair(phase, rabi):
+        statics.append((phase, rabi))
+        return qubit_pair(phase, rabi)
+
+    ladder_type = operators.FockOperators
+    monkeypatch.setattr(operators, "FockOperators", counted_ladder)
+    monkeypatch.setattr(model, "qubit_pair", counted_pair)
+    build_fock.cache_clear()
+    model._static_part.cache_clear()
+    ratios = np.linspace(2.0, 6.0, 40)
+    result = sweep_ratio(make_constant(math.pi, RABI), ratios, model_name, 1.0,
+                         GateTarget(math.pi), eta=0.2156, truncation=6)
+    assert [row[2] for row in result.rows] == ["ok"] * 40
+    assert ladders == [6]
+    assert statics == ([] if model_name == "full" else [(0.0, RABI)])

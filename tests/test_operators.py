@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipulse.operators import (
     SIGMA_X,
@@ -103,3 +105,47 @@ def test_tensor_mixed_product(rng):
     left = tensor(a, b) @ tensor(c, d)
     right = tensor(a @ c, b @ d)
     assert np.allclose(left, right, atol=1e-12)
+
+
+#: Finite float64 values, with both zeros drawn often.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@st.composite
+def operands(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = rows * cols
+    real = np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        imag = np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size)))
+        values = np.empty(size, dtype=complex)
+        values.real, values.imag = real, imag
+    else:
+        values = real
+    return values.reshape(rows, cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=operands(), b=operands())
+def test_tensor_is_kron_bit_for_bit(a, b):
+    with np.errstate(all="ignore"):
+        expected = np.kron(a, b)
+        product = tensor(a, b)
+    assert product.shape == expected.shape
+    assert product.dtype == expected.dtype
+    assert product.tobytes() == expected.tobytes()
+
+
+def test_fock_ladder_is_shared_and_read_only():
+    build_fock.cache_clear()
+    fock = build_fock(5)
+    assert build_fock(5) is fock
+    assert build_fock(6) is not fock
+    assert fock.number is fock.number and fock.position is fock.position
+    for array in (fock.lower, fock.raise_, fock.number, fock.position):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipulse.fidelity import GateTarget, thermal_fidelity
+from mipulse import propagate
 from mipulse.model import MODELS, SystemParams, hamiltonian
 from mipulse.operators import SIGMA_X, unitarity_defect
 from mipulse.propagate import evolve, evolve_qubit, su2_rotation
@@ -197,6 +198,16 @@ def test_gauged_h0_is_real(model, truncation, eta, delta_detuning, delta_rabi):
     else:
         assert residue == 0.0
     assert np.array_equal(gauged.real, gauged.real.T)
+
+
+@pytest.mark.parametrize("truncation", [1, 4, 20])
+def test_gauge_is_cached_read_only(truncation):
+    propagate._gauge.cache_clear()
+    gauge = propagate._gauge(truncation)
+    assert propagate._gauge(truncation) is gauge
+    assert not gauge.flags.writeable
+    m = np.arange(truncation + 1)
+    assert gauge.tobytes() == np.tile(np.array([1, 1j, -1, -1j])[m % 4], 2).tobytes()
 
 
 def test_gauge_breaking_term_rejected(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mipulse.fidelity import GateTarget
@@ -75,6 +76,37 @@ def test_ratio_sweep_flags_failed_points():
     assert math.isnan(result.rows[1][1])
 
 
+def clear_system_caches():
+    from mipulse import model, operators, propagate
+
+    operators.build_fock.cache_clear()
+    model._static_part.cache_clear()
+    model._displacement.cache_clear()
+    propagate._gauge.cache_clear()
+
+
+@pytest.mark.parametrize("model", ["full", "lamb_dicke", "second_order"])
+def test_ratio_sweep_rows_same_cold_and_warm(model):
+    # the shared operators are the same bits as fresh ones
+    ratios = [2.5, 3.0, 4.75, 5.0]
+    target = GateTarget(math.pi)
+    clear_system_caches()
+    cold = sweep_ratio(constant_flip_family(), ratios, model, 0.95, target, eta=ETA)
+    warm = sweep_ratio(constant_flip_family(), ratios, model, 0.95, target, eta=ETA)
+    assert all(row[2] == "ok" for row in cold.rows)
+    assert repr(cold.rows) == repr(warm.rows)
+
+
+def test_ratio_parallel_matches_serial():
+    # the one target of the sweep travels to the workers with each point
+    ratios = [3.0, 4.0, 5.0]
+    target = GateTarget(math.pi / 2, 0.3)
+    serial = sweep_ratio(constant_flip_family(), ratios, "second_order", 0.95, target)
+    parallel = sweep_ratio(constant_flip_family(), ratios, "second_order", 0.95, target,
+                           jobs=2)
+    assert repr(serial.rows) == repr(parallel.rows)
+
+
 def test_map_symmetry_at_zero_coupling():
     # with eta = 0 the error map is exactly symmetric under detuning sign
     pulse = make_constant(math.pi, RABI)
@@ -122,6 +154,18 @@ def test_error_vs_p0_bound_column():
     # only for the second-order recoil-free pulse; here just check ordering
     errors = {row[1]: row[2] for row in result.rows}
     assert errors[0.9] > errors[0.99]
+
+
+def test_error_vs_p0_rejects_empty_grid_before_evolving(monkeypatch):
+    def no_evolve(*args):
+        raise AssertionError("a pulse was evolved")
+
+    monkeypatch.setattr(scan, "evolve", no_evolve)
+    params = SystemParams(omega=5 * RABI, rabi=RABI, eta=ETA)
+    pulse = make_constant(math.pi, RABI)
+    for grid in ([], iter(()), np.arange(0.9, 0.5, 0.01)):
+        with pytest.raises(ValueError, match="p0 grid must be nonempty"):
+            error_vs_p0([pulse], grid, GateTarget(math.pi), params)
 
 
 def test_p0_sweep_disentangling_gain():
