@@ -123,6 +123,9 @@ def _cmd_design_optimized(args, preset: str) -> int:
     rabi = _rabi(args)
     ratio = math.inf if args.omega_hz == math.inf else args.omega_hz / args.rabi_hz
     problem = control_problem(preset, _target(args), ratio, args.eta)
+    if args.restarts < 1:
+        # checked on both paths, so a sidecar's config always holds a valid value
+        raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     try:
         if args.duration_us is not None:
             result = solve_fixed_duration(
@@ -130,9 +133,7 @@ def _cmd_design_optimized(args, preset: str) -> int:
                 restarts=args.restarts, seed=args.seed, label=preset,
             )
         else:
-            result = min_time_search(
-                problem, rabi, restarts=args.restarts, seed=args.seed, label=preset
-            )
+            result = min_time_search(problem, rabi, seed=args.seed, label=preset)
     except OptimizeFailure as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return 1
@@ -316,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--duration-us", type=float, default=None,
                        help="fixed duration; omit to search the minimum time")
         p.add_argument("--restarts", type=int, default=8,
-                       help="random starts per duration, at least 1 (default 8)")
+                       help="random starts of the fixed-duration solve (--duration-us), "
+                            "at least 1 (default 8); the minimum-time search gives "
+                            "each area one start")
         p.set_defaults(func=lambda a, _preset=preset: _cmd_design_optimized(a, _preset))
 
     p = sub.add_parser("simulate", help="evolve a pulse file and report fidelity")

@@ -67,6 +67,10 @@ class GateTarget:
         u.flags.writeable = False
         return u
 
+    def __reduce__(self):
+        # pickle the angles only: a copied cache would arrive writeable
+        return (GateTarget, (self.theta, self.axis_angle))
+
 
 @dataclass(frozen=True)
 class ThermalState:

@@ -67,6 +67,10 @@ class FockOperators:
         """Dimensionless position quadrature ``raise_ + lower``."""
         return _read_only(self.raise_ + self.lower)
 
+    def __reduce__(self):
+        # rebuild through the shared cache: copied arrays would arrive writeable
+        return (build_fock, (self.truncation,))
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False

@@ -7,13 +7,14 @@ toggling-frame integrals vanishes at the final time.  The cost is
     (1 - |Tr(U_tar^dag Uq)|^2 / 4) + sum_c ||V_c(T)||_F^2
 
 with exact gradients from the closed-form segment algebra; finite
-differences are kept only as a test oracle.  Each restart is one
-quasi-Newton descent (L-BFGS-B) into the convergence basin and one
-least-squares polish that drives the residuals to machine level.  The
-polish works on the minimal residual rows ``r`` of :func:`_rows` (three
-for the target, three or six per integral), with the exact Jacobian from
-the same phase gradient.  The minimum-time search treats the duration as
-one more variable: after a coarse scan it solves ``min A s.t.
+differences are kept only as a test oracle.  Each start is one
+quasi-Newton descent (L-BFGS-B) that stops on its cost plateau, inside
+the convergence basin, and one least-squares polish that drives the
+residuals to machine level.  The polish works on the minimal residual
+rows ``r`` of :func:`_rows` (three for the target, three or six per
+integral), with the exact Jacobian from the same phase gradient.  The
+minimum-time search treats the duration as one more variable: after a
+coarse scan with one random start per area it solves ``min A s.t.
 r(phi, A) = 0`` by SLSQP on the same rows, with exact Jacobians in the
 phases and the pulse area A.
 
@@ -73,6 +74,15 @@ SQP_FTOL = 1e-12
 
 #: L-BFGS iteration cap of one fixed-duration attempt.
 DESCENT_MAXITER = 1500
+
+#: Relative-reduction stop of the L-BFGS descent.  scipy stops once
+#: ``(f_k - f_{k+1}) / max(|f_k|, |f_{k+1}|, 1) <= ftol``; below a cost of 1
+#: that is an absolute step under 1e-10, so the descent ends on its plateau
+#: instead of running on until its line search fails at the rounding floor.
+#: Machine-level residuals are the polish's job: it carries any profile
+#: whose cost is below 1e-6 on to about 1e-16.
+DESCENT_FTOL = 1e-10
+
 
 class OptimizeFailure(RuntimeError):
     """Raised when the minimum-time search exhausts its area ceiling."""
@@ -291,20 +301,21 @@ def _attempt(
 ) -> tuple[np.ndarray, int, tuple[float, float, dict]]:
     """One quasi-Newton descent, then one least-squares polish.
 
-    The polish solves :func:`_polish_residual` = 0 at the fixed area: the
-    free-time solve's rows without the area column.  It runs when the
-    cost at the descent's end is below 1e-6 and is kept only if it lowers
-    the residual norm.  That cost is evaluated afresh rather than read
-    from the descent's report, which can differ from it in the last
-    digits.  Returns the profile, the iterations spent and the profile's
-    :func:`_score`.
+    The descent stops on its cost plateau (:data:`DESCENT_FTOL`), which
+    is enough to reach the polish's basin.  The polish solves
+    :func:`_polish_residual` = 0 at the fixed area: the free-time solve's
+    rows without the area column.  It runs when the cost at the descent's
+    end is below 1e-6 and is kept only if it lowers the residual norm.
+    That cost is evaluated afresh rather than read from the descent's
+    report, which can differ from it in the last digits.  Returns the
+    profile, the iterations spent and the profile's :func:`_score`.
     """
     fit = minimize(
         lambda p: cost_and_gradient(p, problem, area, 1.0),
         np.asarray(x0, dtype=float),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": maxiter, "maxcor": 30, "ftol": 1e-18, "gtol": 1e-12},
+        options={"maxiter": maxiter, "maxcor": 30, "ftol": DESCENT_FTOL, "gtol": 1e-12},
     )
     x, iterations = fit.x, fit.nit
     score = _score(x, problem, area)
@@ -399,7 +410,6 @@ def min_time_search(
     problem: ControlProblem,
     rabi: float,
     seed: int = 0,
-    restarts: int = 8,
     label: str = "optimized",
 ) -> OptimizationResult:
     """Shortest converging duration: a coarse scan, then one free-time solve.
@@ -407,11 +417,13 @@ def min_time_search(
     Durations are scanned upward from the ideal-rotation speed limit on a
     geometric grid (factor 1.25, 40 segments per pi of area) until a
     fixed-duration solve converges; a feasible speed limit is returned as
-    is.  The bracketing area is solved again at 80 segments per pi, warm
-    from the coarse profile; that density keeps the uniform grid's
-    feasibility gap near the speed limit below 0.1% (switch points of
-    bang-bang optima fall between grid cells, which costs duration at low
-    density).
+    is.  Each coarse area gets one random start: more starts at an
+    infeasible area would only prove it infeasible, and the free-time
+    solve below does not need that proof.  The bracketing area is solved
+    again at 80 segments per pi, warm from the coarse profile; that
+    density keeps the uniform grid's feasibility gap near the speed limit
+    below 0.1% (switch points of bang-bang optima fall between grid
+    cells, which costs duration at low density).
 
     The feasibility boundary is a fold of the solution set, so the
     shortest area is the solution of ``min A s.t. r(phi, A) = 0`` (see
@@ -433,7 +445,7 @@ def min_time_search(
             area / rabi,
             rabi,
             n_segments=default_segments(area, dens),
-            restarts=restarts,
+            restarts=1,
             seed=seed,
             extra_seeds=warm,
             label=label,

@@ -93,11 +93,15 @@ def _map_point(args):
         return (ddelta_frac, domega_frac, float("nan"), f"error:{exc}")
 
 
-def _check_shared(eta: float, truncation: int, p0: float | None = None) -> None:
+def _check_shared(
+    eta: float, truncation: int, p0: float | None = None, jobs: int = 1
+) -> None:
     """Parameters shared by every grid point: reject them once, up front.
 
     ``p0`` is checked unless it is the swept variable.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if p0 is not None and not 0 < p0 <= 1:
         raise ValueError(f"p0 must be in (0, 1], got {p0}")
     if not 0 <= eta < 1:
@@ -131,7 +135,7 @@ def sweep_ratio(
     to ``ratio * rabi`` of each pulse; the error curve depends only on the
     dimensionless ratio.
     """
-    _check_shared(eta, truncation, p0)
+    _check_shared(eta, truncation, p0, jobs)
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValueError("ratio grid must be nonempty")
@@ -177,7 +181,7 @@ def robustness_map(
     simulation Rabi frequency).  Row order is row-major over
     (detuning, rabi) grid order.
     """
-    _check_shared(params.eta, params.truncation, p0)
+    _check_shared(params.eta, params.truncation, p0, jobs)
     rabi_ref = params.rabi if rabi_ref is None else rabi_ref
     params_dict = asdict(replace(params, delta_detuning=0.0, delta_rabi=0.0))
     points = [

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mipulse import optimize
 from mipulse.cli import main
 from mipulse.pulse import load_pulse, make_constant, save_pulse
 
@@ -264,6 +265,24 @@ def test_design_tod_min_time_deterministic(tmp_path):
     assert load_pulse(a).duration == pytest.approx(39.993e-6, abs=1e-9)
 
 
+def test_min_time_descents_end_on_their_plateau(tmp_path, monkeypatch):
+    # no L-BFGS-B descent runs on until its line search fails (status 2)
+    statuses, minimize = [], optimize.minimize
+
+    def recording(*args, **kwargs):
+        fit = minimize(*args, **kwargs)
+        if kwargs["method"] == "L-BFGS-B":
+            statuses.append(fit.status)
+        return fit
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    assert main([
+        "design-tod", "--theta", "60", "--omega-hz", "inf", "--seed", "0",
+        "--out", str(tmp_path / "tod.json"),
+    ]) == 0
+    assert statuses and 2 not in statuses
+
+
 def test_design_tod_accepts_infinite_trap_frequency(tmp_path):
     out = tmp_path / "tod.json"
     code = main([
@@ -345,6 +364,11 @@ def torf_pulse(tmp_path_factory):
      "--n-grid must be >= 1"),
     (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--n-grid", "0"],
      "--n-grid must be >= 1"),
+    (["design-tod", "--theta", "60", "--omega-hz", "inf", "--restarts", "0"],
+     "restarts must be >= 1"),
+    (["scan-ratio", "--p0", "1.0", "--lmax", "2.1", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["scan-map", "--pulse", PULSE, "--theta", "180", "--p0", "0.95", "--n-grid", "2",
+      "--jobs", "-4"], "jobs must be >= 1, got -4"),
 ])
 def test_bad_design_input_exits_nonzero_without_output(
     tmp_path, capsys, torf_pulse, argv, message

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -223,3 +224,13 @@ def test_target_unitary_is_built_once_and_read_only():
     assert target.unitary.tobytes() == su2_rotation(math.pi / 3, 0.4).tobytes()
     assert target == GateTarget(math.pi / 3, 0.4)
     assert hash(target) == hash(GateTarget(math.pi / 3, 0.4))
+
+
+def test_target_stays_read_only_across_pickling():
+    # a parallel sweep pickles its target; a copied cache would arrive writeable
+    target = GateTarget(math.pi / 3, 0.4)
+    target.unitary
+    copy = pickle.loads(pickle.dumps(target))
+    assert copy == target
+    assert not copy.unitary.flags.writeable
+    assert copy.unitary.tobytes() == target.unitary.tobytes()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,3 +150,16 @@ def test_fock_ladder_is_shared_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
+
+
+def test_fock_ladder_stays_read_only_across_pickling():
+    # a worker process rebuilds the ladder through build_fock, read-only
+    fock = build_fock(5)
+    fock.number
+    data = pickle.dumps(fock)
+    build_fock.cache_clear()  # as in a fresh worker
+    copy = pickle.loads(data)
+    assert copy is build_fock(5)
+    for array in (copy.lower, copy.raise_, copy.number, copy.position):
+        assert not array.flags.writeable
+    assert copy.lower.tobytes() == fock.lower.tobytes()

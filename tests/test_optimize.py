@@ -167,6 +167,30 @@ def test_min_time_quarter_flip_is_repeatable_and_no_longer():
     assert first.pulse.duration == second.pulse.duration
 
 
+def test_min_time_gives_each_coarse_area_one_start(monkeypatch):
+    # more starts at an infeasible area would only prove it infeasible
+    attempts, attempt = [], optimize._attempt
+
+    def recording(x0, problem, area, maxiter):
+        attempts.append((area, len(x0)))
+        return attempt(x0, problem, area, maxiter)
+
+    monkeypatch.setattr(optimize, "_attempt", recording)
+    problem = control_problem("recoil", GateTarget(math.pi / 2), ratio=5.0)
+    result = min_time_search(problem, RABI, seed=0)
+    assert result.converged
+    coarse = [a for a, n in attempts if n == optimize.default_segments(a)]
+    area_min = problem.target.theta / problem.kappa
+    assert len(coarse) >= 2  # so an infeasible area was scanned
+    assert coarse == pytest.approx([area_min * 1.25**k for k in range(len(coarse))])
+
+
+def test_min_time_search_takes_no_restarts():
+    problem = control_problem("recoil", GateTarget(math.pi / 2), ratio=5.0)
+    with pytest.raises(TypeError):
+        min_time_search(problem, RABI, seed=0, restarts=8)
+
+
 def test_attempt_builds_segment_integrals_once_per_mode(monkeypatch):
     # every segment lasts area/n throughout an attempt, so the duration plan
     # is built once for the values and once for the phase derivatives, not

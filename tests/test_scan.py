@@ -107,6 +107,16 @@ def test_ratio_parallel_matches_serial():
     assert repr(serial.rows) == repr(parallel.rows)
 
 
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_sweeps_reject_jobs_below_one(jobs):
+    pulse = make_constant(math.pi, RABI)
+    params = SystemParams(omega=5 * RABI, rabi=RABI, eta=ETA, truncation=12)
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        sweep_ratio(pulse, [3.0], "second_order", 0.95, GateTarget(math.pi), jobs=jobs)
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        robustness_map(pulse, [0.0], [0.0], 0.95, GateTarget(math.pi), params, jobs=jobs)
+
+
 def test_map_symmetry_at_zero_coupling():
     # with eta = 0 the error map is exactly symmetric under detuning sign
     pulse = make_constant(math.pi, RABI)
