@@ -39,16 +39,19 @@ from .scan import error_vs_p0, robustness_map, sweep_ratio, write_csv, write_met
 TWO_PI = 2 * math.pi
 
 
-def _add_system_args(parser, with_eta=True):
+def _add_system_args(parser, rabi=True, eta=True, levels=True):
+    """The physical parameters; each command takes only those it reads."""
     parser.add_argument("--omega-hz", type=float, default=100e3,
                         help="trap frequency in Hz (default 100 kHz)")
-    parser.add_argument("--rabi-hz", type=float, default=20e3,
-                        help="Rabi frequency in Hz (default 20 kHz)")
-    if with_eta:
+    if rabi:
+        parser.add_argument("--rabi-hz", type=float, default=20e3,
+                            help="Rabi frequency in Hz (default 20 kHz)")
+    if eta:
         parser.add_argument("--eta", type=float, default=0.2156,
                             help="Lamb-Dicke parameter (default 0.2156)")
-    parser.add_argument("--m-levels", type=int, default=20,
-                        help="motional truncation M (default 20)")
+    if levels:
+        parser.add_argument("--m-levels", type=int, default=20,
+                            help="motional truncation M (default 20)")
 
 
 def _add_occupation_args(parser):
@@ -292,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def design_common(p):
-        _add_system_args(p, with_eta=True)
+    def design_common(p, eta=True):
+        _add_system_args(p, eta=eta, levels=False)
         p.add_argument("--theta", type=float, required=True, help="target angle, degrees")
         p.add_argument("--axis", type=float, default=0.0,
                        help="target axis in the equatorial plane, degrees")
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, order in (("design-torf", "first"), ("design-torf2", "second")):
         p = sub.add_parser(name, help=f"{order}-order recoil-free bang-bang pulse")
-        design_common(p)
+        design_common(p, eta=order == "second")
         p.set_defaults(func=lambda a, _order=order: _cmd_design_bang(a, _order))
 
     for name, preset, blurb in (
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda a, _preset=preset: _cmd_design_optimized(a, _preset))
 
     p = sub.add_parser("simulate", help="evolve a pulse file and report fidelity")
-    _add_system_args(p)
+    _add_system_args(p, rabi=False)
     p.add_argument("--pulse", required=True)
     p.add_argument("--model", choices=MODELS, default="full")
     p.add_argument("--theta", type=float, required=True)
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan_map)
 
     p = sub.add_parser("scan-p0", help="error vs ground-state occupation")
-    _add_system_args(p)
+    _add_system_args(p, rabi=False)
     p.add_argument("--pulse", required=True, nargs="+")
     p.add_argument("--model", choices=MODELS, default="second_order")
     p.add_argument("--theta", type=float, required=True)

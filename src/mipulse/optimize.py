@@ -15,8 +15,9 @@ rows ``r`` of :func:`_rows` (three for the target, three or six per
 integral), with the exact Jacobian from the same phase gradient.  The
 minimum-time search treats the duration as one more variable: after a
 coarse scan with one random start per area it solves ``min A s.t.
-r(phi, A) = 0`` by SLSQP on the same rows, with exact Jacobians in the
-phases and the pulse area A.
+r(phi, A) = 0`` by SLSQP on the same rows, from the bracketing area's
+converged profile, with exact Jacobians in the phases and the pulse
+area A.
 
 Problem presets map onto the four control problems this package targets:
 ``recoil`` (first-harmonic integral only, first-order dynamics),
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import GateTarget
-from .pulse import PulseProgram
+from .pulse import PulseProgram, wrap_phase
 from .toggling import ALIASES, CONSTRAINT_KINDS, evaluate_controls
 
 __all__ = [
@@ -308,7 +309,8 @@ def _attempt(
     end is below 1e-6 and is kept only if it lowers the residual norm.
     That cost is evaluated afresh rather than read from the descent's
     report, which can differ from it in the last digits.  Returns the
-    profile, the iterations spent and the profile's :func:`_score`.
+    kept profile wrapped to (-pi, pi], as a pulse file stores it, the
+    iterations spent and the wrapped profile's :func:`_score`.
     """
     fit = minimize(
         lambda p: cost_and_gradient(p, problem, area, 1.0),
@@ -318,8 +320,7 @@ def _attempt(
         options={"maxiter": maxiter, "maxcor": 30, "ftol": DESCENT_FTOL, "gtol": 1e-12},
     )
     x, iterations = fit.x, fit.nit
-    score = _score(x, problem, area)
-    if score[0] < 1e-6:
+    if _score(x, problem, area)[0] < 1e-6:
         polish = least_squares(
             lambda p: _polish_residual(p, problem, area),
             x,
@@ -332,8 +333,8 @@ def _attempt(
         )
         if np.linalg.norm(polish.fun) < np.linalg.norm(_polish_residual(x, problem, area)):
             x, iterations = polish.x, iterations + polish.nfev
-            score = _score(x, problem, area)
-    return x, iterations, score
+    x = np.array([wrap_phase(float(p)) for p in x])
+    return x, iterations, _score(x, problem, area)
 
 
 def default_segments(area: float, density: float = SEGMENTS_PER_PI) -> int:
@@ -348,14 +349,12 @@ def solve_fixed_duration(
     restarts: int = 8,
     seed: int = 0,
     maxiter: int = DESCENT_MAXITER,
-    extra_seeds: tuple = (),
     label: str = "optimized",
 ) -> OptimizationResult:
-    """Best result over the restart schedule at a fixed pulse duration.
+    """Best result over ``restarts`` random profiles at a fixed pulse duration.
 
-    The schedule is the warm starts (``extra_seeds``), then ``restarts``
-    random profiles.  Restarts stop early once one of them converges;
-    non-convergence is a valid, flagged outcome.
+    Restarts stop early once one of them converges; non-convergence is a
+    valid, flagged outcome.
     """
     if not (math.isfinite(rabi) and rabi > 0):
         raise ValueError(f"rabi must be positive and finite, got {rabi}")
@@ -366,21 +365,17 @@ def solve_fixed_duration(
     area = rabi * duration
     n = n_segments or default_segments(area)
     rng = np.random.default_rng(seed)
-    starts = [np.asarray(s, dtype=float) for s in extra_seeds]
-    starts += [rng.uniform(-math.pi, math.pi, n) for _ in range(restarts)]
 
     best = None
     total_iterations = 0
-    for x0 in starts:
-        if len(x0) != n:
-            continue
+    for _ in range(restarts):
+        x0 = rng.uniform(-math.pi, math.pi, n)
         x, iterations, (cost, defect, norms) = _attempt(x0, problem, area, maxiter)
         total_iterations += iterations
         if best is None or cost < best[0]:
             best = (cost, defect, norms, x, total_iterations)
         if _is_converged(defect, norms):
             break
-    assert best is not None
     cost, defect, norms, phases, iterations = best
     return _result(phases, (cost, defect, norms), iterations, duration, rabi, label)
 
@@ -419,71 +414,47 @@ def min_time_search(
     fixed-duration solve converges; a feasible speed limit is returned as
     is.  Each coarse area gets one random start: more starts at an
     infeasible area would only prove it infeasible, and the free-time
-    solve below does not need that proof.  The bracketing area is solved
-    again at 80 segments per pi, warm from the coarse profile; that
-    density keeps the uniform grid's feasibility gap near the speed limit
-    below 0.1% (switch points of bang-bang optima fall between grid
-    cells, which costs duration at low density).
+    solve below does not need that proof.
 
     The feasibility boundary is a fold of the solution set, so the
     shortest area is the solution of ``min A s.t. r(phi, A) = 0`` (see
     :func:`_free_time_system`).  One SLSQP solve over the phases and the
-    area, from the converged profile, finds it; one :func:`_attempt` at
+    area finds it.  It starts at the bracketing area from the converged
+    coarse profile, resampled to 80 segments per pi; SLSQP restores
+    feasibility on its own, so the start needs no solve at that density.
+    The density keeps the uniform grid's feasibility gap near the speed
+    limit below 0.1% (switch points of bang-bang optima fall between grid
+    cells, which costs duration at low density).  One :func:`_attempt` at
     the final area polishes the residuals.  If that polish does not
-    converge, or the area is not below the bracket, the converged bracket
-    profile is returned.  Exhausting the ceiling (20 target angles of
+    converge, or the area is not below the bracket, the converged coarse
+    result is returned.  Exhausting the ceiling (20 target angles of
     area) raises :class:`OptimizeFailure` with the best cost per duration.
     """
-    density = 2 * SEGMENTS_PER_PI
     area_min = problem.target.theta / problem.kappa
     ceiling = AREA_CEILING_FACTOR * problem.target.theta
     diagnostics: list[tuple[float, float]] = []
 
-    def try_area(area: float, dens: float, warm: tuple = ()) -> OptimizationResult:
-        result = solve_fixed_duration(
-            problem,
-            area / rabi,
-            rabi,
-            n_segments=default_segments(area, dens),
-            restarts=1,
-            seed=seed,
-            extra_seeds=warm,
-            label=label,
-        )
-        diagnostics.append((area, result.cost))
-        return result
-
-    def warm_from(result: OptimizationResult, area: float) -> tuple:
-        return (
-            _rescale_seed(
-                np.array(result.pulse.phases), default_segments(area, density)
-            ),
-        )
-
     # coarse upward scan for an upper bracket
     area = area_min
-    coarse: OptimizationResult | None = None
     while area <= ceiling:
-        result = try_area(area, density / 2)
-        if result.converged:
-            coarse = result
+        coarse = solve_fixed_duration(
+            problem, area / rabi, rabi, n_segments=default_segments(area),
+            restarts=1, seed=seed, label=label,
+        )
+        if coarse.converged:
             break
+        diagnostics.append((area, coarse.cost))
         area *= 1.25
-    if coarse is None:
+    else:
         raise OptimizeFailure(
             "no converging duration up to the search ceiling; "
             + ", ".join(f"area={a / math.pi:.3f}pi cost={c:.2e}" for a, c in diagnostics)
         )
+    if area == area_min:
+        return coarse  # feasible already at the speed limit
 
     area_hi = area
-    converged = try_area(area_hi, density, warm_from(coarse, area_hi))
-    if not converged.converged:
-        converged = coarse  # full density should not be harder; keep the proof
-    if area_hi == area_min:
-        return converged  # feasible already at the speed limit
-
-    phases = np.array(converged.pulse.phases)
-    n = len(phases)
+    n = default_segments(area_hi, 2 * SEGMENTS_PER_PI)
     area_gradient = np.zeros(n + 1)
     area_gradient[-1] = 1.0
     cache: dict = {}
@@ -497,7 +468,7 @@ def min_time_search(
 
     fit = minimize(
         lambda x: x[-1],
-        np.append(phases, area_hi),
+        np.append(_rescale_seed(np.array(coarse.pulse.phases), n), area_hi),
         jac=lambda x: area_gradient,
         method="SLSQP",
         bounds=[(None, None)] * n + [(area_min, None)],
@@ -508,10 +479,10 @@ def min_time_search(
     )
     area = float(fit.x[-1])
     if not area < area_hi:
-        return converged
+        return coarse
     x, iterations, score = _attempt(fit.x[:-1], problem, area, DESCENT_MAXITER)
     result = _result(x, score, fit.nit + iterations, area / rabi, rabi, label)
-    return result if result.converged else converged
+    return result if result.converged else coarse
 
 
 #: Published composite sequences usable as robustness references.  Each

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from . import __version__ as _version
@@ -108,6 +107,14 @@ def _check_shared(
         raise ValueError(f"eta must be in [0, 1), got {eta}")
     if truncation < GUARD_MARGIN:
         raise ValueError(f"truncation {truncation} is smaller than the margin {GUARD_MARGIN}")
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first call so
+    that serial sweeps do not load the process machinery."""
+    from concurrent.futures import ProcessPoolExecutor as Executor
+
+    return Executor(*args, **kwargs)
 
 
 def _run(points, worker, jobs):

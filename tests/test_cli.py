@@ -249,8 +249,8 @@ def test_non_finite_physics_input_exits_nonzero(tmp_path, capsys):
 
 
 def test_design_tod_min_time_deterministic(tmp_path):
-    # the minimum-time path: coarse scan, full-density solve, free-time SLSQP
-    # and the final polish, twice in one process
+    # the minimum-time path: coarse scan, free-time SLSQP from the bracket
+    # profile and the final polish, twice in one process
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
         assert main([
@@ -416,9 +416,32 @@ def test_scan_commands_leave_scipy_unloaded(tmp_path):
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); from mipulse.cli import main; "
         f"codes = [main(argv) for argv in {commands!r}]; "
-        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        " or m == 'multiprocessing'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
     )
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("design-torf", "--m-levels", "20"),
+    ("design-torf2", "--m-levels", "20"),
+    ("design-tod", "--m-levels", "20"),
+    ("design-robust", "--m-levels", "20"),
+    ("design-torf", "--eta", "0.2156"),
+    ("simulate", "--rabi-hz", "20e3"),
+    ("scan-p0", "--rabi-hz", "20e3"),
+])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag, value):
+    argv = {
+        "simulate": ["--pulse", "p.json", "--theta", "90", "--p0", "1.0"],
+        "scan-p0": ["--pulse", "p.json", "--theta", "90"],
+    }.get(command, ["--theta", "90"])
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()

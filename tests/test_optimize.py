@@ -146,6 +146,8 @@ def test_min_time_flip_reaches_speed_limit():
     result = min_time_search(problem, RABI, seed=0)
     assert result.converged
     assert result.pulse.area == pytest.approx(math.pi, rel=1e-6)
+    # the coarse profile itself, at 40 segments per pi
+    assert len(result.pulse.segments) == 40
 
 
 def test_min_time_quarter_flip_duration():
@@ -183,12 +185,55 @@ def test_min_time_gives_each_coarse_area_one_start(monkeypatch):
     area_min = problem.target.theta / problem.kappa
     assert len(coarse) >= 2  # so an infeasible area was scanned
     assert coarse == pytest.approx([area_min * 1.25**k for k in range(len(coarse))])
+    # then exactly one attempt, the polish after SLSQP, below the bracket
+    assert attempts[:-1] == [(a, optimize.default_segments(a)) for a in coarse]
+    assert attempts[-1][0] < coarse[-1]
+    assert attempts[-1][1] == optimize.default_segments(coarse[-1], 2 * optimize.SEGMENTS_PER_PI)
+
+
+def test_min_time_starts_slsqp_from_the_bracket_profile(monkeypatch):
+    # the converged coarse profile, resampled to 80 segments per pi, at the
+    # bracketing area: no solve at the full density comes first
+    solved, solve = [], optimize.solve_fixed_duration
+    starts, minimize = [], optimize.minimize
+
+    def recording_solve(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def recording_minimize(fun, x0, **kwargs):
+        if kwargs["method"] == "SLSQP":
+            starts.append(x0)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "solve_fixed_duration", recording_solve)
+    monkeypatch.setattr(optimize, "minimize", recording_minimize)
+    problem = control_problem("recoil", GateTarget(math.pi / 2), ratio=5.0)
+    result = min_time_search(problem, RABI, seed=0)
+    assert result.converged
+    assert [r.converged for r in solved] == [False] * (len(solved) - 1) + [True]
+    area_hi = problem.target.theta / problem.kappa
+    for _ in solved[1:]:
+        area_hi *= 1.25
+    n_full = optimize.default_segments(area_hi, 2 * optimize.SEGMENTS_PER_PI)
+    expected = np.append(
+        optimize._rescale_seed(np.array(solved[-1].pulse.phases), n_full), area_hi
+    )
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], expected)
+    assert result.pulse.area < area_hi
 
 
 def test_min_time_search_takes_no_restarts():
     problem = control_problem("recoil", GateTarget(math.pi / 2), ratio=5.0)
     with pytest.raises(TypeError):
         min_time_search(problem, RABI, seed=0, restarts=8)
+
+
+def test_solve_fixed_duration_takes_no_extra_seeds():
+    problem = control_problem("recoil", GateTarget(math.pi / 2), ratio=5.0)
+    with pytest.raises(TypeError):
+        solve_fixed_duration(problem, 1e-5, RABI, extra_seeds=())
 
 
 def test_attempt_builds_segment_integrals_once_per_mode(monkeypatch):
@@ -247,9 +292,8 @@ def test_result_reports_norms_and_iterations():
     ],
 )
 def test_result_scores_its_profile_once(monkeypatch, preset, duration, kwargs, converged):
-    # the reported numbers are those of the best attempt's profile, bit for bit;
-    # the pulse stores that profile wrapped to (-pi, pi], which moves last bits,
-    # so the attempts are recorded to re-score the optimizer's own phases
+    # the reported numbers are those of the best attempt's profile, bit for bit,
+    # and that profile is the one the pulse stores, wrapped to (-pi, pi]
     attempts, attempt = [], optimize._attempt
 
     def recording(*args):
@@ -263,6 +307,7 @@ def test_result_scores_its_profile_once(monkeypatch, preset, duration, kwargs, c
     phases, _, _ = min(attempts, key=lambda a: a[2][0])
     assert result.pulse.phases == tuple(wrap_phase(p) for p in phases)
     assert result.cost == cost_and_gradient(phases, problem, duration, RABI)[0]
+    assert result.cost == cost_and_gradient(result.pulse.phases, problem, duration, RABI)[0]
     u_qubit, values = _evaluate(phases, problem, RABI * duration, grad=False)
     overlap = np.trace(problem.target.unitary.conj().T @ u_qubit) / 2
     assert result.target_defect == 1 - abs(overlap) ** 2
